@@ -115,7 +115,14 @@ def _fmt(x: float) -> str:
 
 
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
-    """Parse a snapshot CSV into a float64 matrix (rows = state entries)."""
+    """Parse a snapshot CSV into a float64 matrix (rows = state entries).
+
+    Blank lines are ignored and the header, when requested, is the first
+    non-blank line. ``np.loadtxt`` parses the table; when it refuses
+    one, the rows are re-scanned one by one, so the error names the
+    offending row (and tokens only Python's ``float`` accepts still
+    parse, as they always did).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
@@ -126,6 +133,10 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
         lines = lines[1:]
     if not lines:
         raise ParseError(f"{path}: no data rows")
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+    except ValueError:
+        pass
     rows = []
     width = None
     for idx, ln in enumerate(lines):

@@ -13,7 +13,9 @@ Four routes to the same eigenvalues:
   adds, so exact modes cost one extra basis vector.
 
 The operator A is never formed at state dimension; everything runs
-through the rank-r SVD of x.
+through the rank-r SVD of x. Real snapshots stay real up to the small
+eigenproblem, and each lift of complex reduced vectors back to state
+space is a product with a real matrix (:func:`_lift`).
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class ReducedOperator:
         a_tilde: (r, r) matrix u* A u = u* b.
         svd_of_x: the truncated SVD the compression is built on.
         b: (n, r) matrix y v / sigma; A = b u* without ever forming A.
+
+    a_tilde and b are float64 when x and y are real.
     """
 
     a_tilde: np.ndarray
@@ -88,6 +92,14 @@ class DmdDecomposition:
     range(x) (for the projected algorithm these are the native output);
     ``adjoint_modes`` satisfy psi* A = lambda psi*. ``reduced_vectors``
     hold the rank-space eigenvectors w with u* phi = w.
+
+    Each mode is scaled so that its reduced vector w has unit norm and a
+    fixed phase: the entry of largest magnitude is real and positive.
+    Entries within a relative 1e-12 of that magnitude count as tied,
+    and the lowest index among them wins. All mode families, the
+    adjoint modes and the eigenvalues are complex128 whether the data
+    is real or complex; for real data the spectrum is closed under
+    conjugation and conjugate eigenvalues carry exactly conjugate modes.
 
     Modes are ordered by descending mode 2-norm, ties broken by
     descending |lambda| then ascending arg(lambda), which keeps
@@ -150,6 +162,35 @@ def _defect_warning(vectors: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
+def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+
+    The real and imaginary parts of w are lifted together by one real
+    product with the interleaved float64 view of w. A column directly
+    followed by its exact conjugate is lifted once and the follower is
+    set to the conjugate of the result, so conjugate eigenvectors of
+    real data give exactly conjugate modes and a conjugate pair costs
+    the same real product as one real column pair.
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return basis @ w
+    if w.ndim == 1:
+        return _lift(basis, w[:, None])[:, 0]
+    k = w.shape[1]
+    conj_next = np.zeros(k, dtype=bool)
+    conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
+        w[:, 1:] == w[:, :-1].conj(), axis=0
+    )
+    follower = np.zeros(k, dtype=bool)
+    for j in np.flatnonzero(conj_next):
+        follower[j + 1] = not follower[j]
+    lead = np.ascontiguousarray(w[:, ~follower])
+    lifted = (basis @ lead.view(np.float64)).view(np.complex128)
+    out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
+    out.imag *= np.where(follower, -1.0, 1.0)
+    return out
+
+
 def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Eigenvector of A for an eigenvalue at (numerical) zero.
 
@@ -157,26 +198,54 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.nd
     when it is nonzero; when that image vanishes, u w already is one.
     "Vanishes" is judged against the roundoff floor of the product.
     """
-    t = (op.svd_of_x.v / op.svd_of_x.sigma[None, :]) @ w
-    bw = y @ t
+    t = _lift(op.svd_of_x.v / op.svd_of_x.sigma[None, :], w)
+    bw = _lift(y, t)
     floor = max(y.shape) * _EPS * float(np.linalg.norm(y)) * float(np.linalg.norm(t))
     if np.linalg.norm(bw) > floor:
         return bw
-    return op.svd_of_x.u @ w
+    return _lift(op.svd_of_x.u, w)
 
 
-def _normalize_columns(
-    *, reduced: np.ndarray, families: list[np.ndarray | None]
-) -> tuple[np.ndarray, list[np.ndarray | None]]:
-    """Scale each mode so its reduced vector has unit norm.
+def _fill_zero_modes(
+    exact: np.ndarray, op: ReducedOperator, w: np.ndarray, zero: np.ndarray, y: np.ndarray
+) -> None:
+    """Put a null-space eigenvector of A into each column flagged ``zero``."""
+    for j in np.flatnonzero(zero):
+        exact[:, j] = _exact_zero_mode(op, w[:, j], y)
 
-    Falls back to leaving a column untouched when the reduced vector is
-    numerically zero (possible only for null-space modes).
+
+# Entries whose magnitudes agree to this relative tolerance tie for the
+# phase reference, so roundoff cannot decide which one is made real.
+_PHASE_TIE_RTOL = 1e-12
+
+
+def _phase_reference(reduced: np.ndarray) -> np.ndarray:
+    """Per column, the lowest index whose magnitude ties the largest one."""
+    mags = np.abs(reduced)
+    top = mags.max(axis=0, initial=0.0)
+    return np.argmax(mags >= top * (1.0 - _PHASE_TIE_RTOL), axis=0)
+
+
+def _column_scale(reduced: np.ndarray) -> np.ndarray:
+    """Per-mode factor giving each reduced vector unit norm and fixed phase.
+
+    The phase makes the reduced vector's reference entry (see
+    :func:`_phase_reference`) real and positive, which removes the
+    arbitrary unit factor LAPACK leaves on each eigenvector. The factor
+    is 1 where the reduced vector is numerically zero (possible only
+    for null-space modes), leaving that column untouched.
     """
     norms = np.linalg.norm(reduced, axis=0)
-    scale = np.where(norms > 1e3 * _EPS, 1.0 / np.maximum(norms, _EPS), 1.0)
-    out_fams = [f * scale[None, :] if f is not None else None for f in families]
-    return reduced * scale[None, :], out_fams
+    ok = norms > 1e3 * _EPS
+    ref = reduced[_phase_reference(reduced), np.arange(reduced.shape[1])]
+    phase = np.where(ok, ref.conj() / np.where(ok, np.abs(ref), 1.0), 1.0)
+    return phase / np.where(ok, norms, 1.0)
+
+
+def _take_scaled(a: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    out = np.take(a, idx, axis=1)
+    out *= scale
+    return out
 
 
 def _assemble(
@@ -192,27 +261,22 @@ def _assemble(
     include_zero_modes: bool,
     warnings: tuple[str, ...],
 ) -> DmdDecomposition:
-    keep = np.ones(len(eigenvalues), dtype=bool)
+    """Drop zero modes, normalize, order; each family is copied once."""
+    kept = np.arange(len(eigenvalues))
     if not include_zero_modes:
-        keep = np.abs(eigenvalues) > zero_cut
-    lam = eigenvalues[keep]
-    exact = exact[:, keep]
-    projected = projected[:, keep]
-    reduced = reduced[:, keep]
-    adjoint = adjoint[:, keep] if adjoint is not None else None
-
-    reduced, (exact, projected) = _normalize_columns(
-        reduced=reduced, families=[exact, projected]
-    )
+        kept = np.flatnonzero(np.abs(eigenvalues) > zero_cut)
+    scale = _column_scale(reduced[:, kept])
 
     own = projected if algorithm == "projected" else exact
-    order = _canonical_order(lam, np.linalg.norm(own, axis=0))
+    norms = np.linalg.norm(own, axis=0)[kept] * np.abs(scale)
+    order = _canonical_order(eigenvalues[kept], norms)
+    idx, scale = kept[order], scale[order]
     return DmdDecomposition(
-        eigenvalues=lam[order],
-        exact_modes=exact[:, order],
-        projected_modes=projected[:, order],
-        reduced_vectors=reduced[:, order],
-        adjoint_modes=adjoint[:, order] if adjoint is not None else None,
+        eigenvalues=eigenvalues[idx],
+        exact_modes=_take_scaled(exact, idx, scale),
+        projected_modes=_take_scaled(projected, idx, scale),
+        reduced_vectors=_take_scaled(reduced, idx, scale),
+        adjoint_modes=np.take(adjoint, idx, axis=1) if adjoint is not None else None,
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=svd_of_x,
@@ -242,15 +306,12 @@ def _core_decomposition(
     u = op.svd_of_x.u
 
     cut = _zero_tol(op.a_tilde, zero_tol)
-    projected = u @ w
-    exact = np.empty_like(projected)
-    bw = op.b @ w
-    for j in range(len(lam)):
-        if abs(lam[j]) > cut:
-            exact[:, j] = bw[:, j] / lam[j]
-        else:
-            exact[:, j] = _exact_zero_mode(op, w[:, j], pairs.y)
-    adjoint = u @ pairs_eig.left_vectors
+    projected = _lift(u, w)
+    zero = np.abs(lam) <= cut
+    # Zero-eigenvalue columns divide by 1 here and are replaced after.
+    exact = _lift(op.b, w) / np.where(zero, 1.0, lam)
+    _fill_zero_modes(exact, op, w, zero, pairs.y)
+    adjoint = _lift(u, pairs_eig.left_vectors)
 
     return _assemble(
         algorithm=algorithm,
@@ -349,14 +410,15 @@ def exact_dmd_qr(
     )
     u = op.svd_of_x.u
     # a_tilde_q = q* A q with A = b u*, assembled at reduced size.
-    a_q = (q.conj().T @ op.b) @ (u.conj().T @ q)
+    uq = u.conj().T @ q
+    a_q = (q.conj().T @ op.b) @ uq
     pairs_eig = eig_dense(a_q, want_left=True, eig_tol=eig_tol)
     lam = pairs_eig.values
 
-    exact = q @ pairs_eig.vectors
-    reduced = u.conj().T @ exact
-    projected = u @ reduced
-    adjoint = q @ pairs_eig.left_vectors
+    exact = _lift(q, pairs_eig.vectors)
+    reduced = _lift(uq, pairs_eig.vectors)  # u* exact, at reduced size
+    projected = _lift(u, reduced)
+    adjoint = _lift(q, pairs_eig.left_vectors)
 
     return _assemble(
         algorithm="qr",
@@ -408,20 +470,18 @@ def exact_dmd_sequential(
     w = pairs_eig.vectors
     cut = _zero_tol(op.a_tilde, zero_tol)
 
-    projected = u @ w
+    projected = _lift(u, w)
     if in_span:
         exact = projected.copy()
     else:
+        # Exact mode = u w + q (q* b w) / lambda: the part of b w along
+        # the new direction q, with b w itself never formed.
         q = p / np.linalg.norm(p)
-        bw = op.b @ w
-        corr = np.outer(q, q.conj() @ bw)
-        exact = np.empty_like(projected)
-        for j in range(len(lam)):
-            if abs(lam[j]) > cut:
-                exact[:, j] = projected[:, j] + corr[:, j] / lam[j]
-            else:
-                exact[:, j] = _exact_zero_mode(op, w[:, j], pairs.y)
-    adjoint = u @ pairs_eig.left_vectors
+        zero = np.abs(lam) <= cut
+        along_q = _lift((q.conj() @ op.b)[None, :], w)[0]
+        exact = projected + np.outer(q, along_q / np.where(zero, 1.0, lam))
+        _fill_zero_modes(exact, op, w, zero, pairs.y)
+    adjoint = _lift(u, pairs_eig.left_vectors)
 
     return _assemble(
         algorithm="sequential",
@@ -453,9 +513,9 @@ def adjoint_modes(op: ReducedOperator, *, eig_tol: float = 1e-9) -> np.ndarray:
     lam = lam[keep]
     w = pairs_eig.vectors[:, keep]
     zv = pairs_eig.left_vectors[:, keep]
-    exact_norms = np.linalg.norm(op.b @ w, axis=0) / np.abs(lam)
+    exact_norms = np.linalg.norm(_lift(op.b, w), axis=0) / np.abs(lam)
     order = _canonical_order(lam, exact_norms)
-    psi = op.svd_of_x.u @ zv[:, order]
+    psi = _lift(op.svd_of_x.u, zv[:, order])
     return psi / np.linalg.norm(psi, axis=0, keepdims=True)
 
 

@@ -4,7 +4,8 @@ A sequence of impulse-response blocks C A^k B is stacked into a block
 Hankel matrix and its one-step shift; a balanced state-space model of
 chosen order falls out of the Hankel SVD. The same (H, H') pair fed to
 the exact decomposition gives a similar operator, which is what
-:func:`era_dmd_similarity` verifies numerically.
+:func:`era_dmd_similarity` verifies numerically. Real blocks give a
+real Hankel pair and a real realization; complex blocks stay complex.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import scipy.optimize
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
-from .linalg import eig_dense, reduced_svd
+from .linalg import _working_dtype, eig_dense, reduced_svd
 from .pairs import pairs_from_arrays
 
 __all__ = [
@@ -33,7 +34,8 @@ __all__ = [
 
 
 def _as_block(value, q: int, p: int, name: str) -> np.ndarray:
-    block = np.atleast_2d(np.asarray(value, dtype=np.complex128))
+    block = np.atleast_2d(np.asarray(value))
+    block = block.astype(_working_dtype(block), copy=False)
     if block.shape != (q, p):
         raise DimensionError(f"{name} has shape {block.shape}, expected {(q, p)}")
     if not np.all(np.isfinite(block)):
@@ -66,9 +68,10 @@ class MarkovSequence:
 
 def markov_parameters(a, b, c, *, count: int, stride: int = 1) -> MarkovSequence:
     """Generate C A^(kP) B and C A^(kP+1) B from a state-space model."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.atleast_2d(np.asarray(b, dtype=np.complex128))
-    c = np.atleast_2d(np.asarray(c, dtype=np.complex128))
+    dtype = _working_dtype(a, b, c)
+    a = np.asarray(a, dtype=dtype)
+    b = np.atleast_2d(np.asarray(b, dtype=dtype))
+    c = np.atleast_2d(np.asarray(c, dtype=dtype))
     if b.shape[0] == 1 and a.shape[0] != 1 and b.shape[1] == a.shape[0]:
         b = b.T
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -107,8 +110,7 @@ def markov_from_blocks(blocks, *, stride: int = 1, count: int | None = None) -> 
     raw = list(blocks)
     if len(raw) < 2:
         raise DimensionError("need at least 2 impulse-response blocks")
-    first = np.atleast_2d(np.asarray(raw[0], dtype=np.complex128))
-    q, p = first.shape
+    q, p = np.atleast_2d(np.asarray(raw[0])).shape
     seq = [_as_block(v, q, p, f"block {j}") for j, v in enumerate(raw)]
     max_count = (len(seq) - 2) // stride + 1
     m = max_count if count is None else int(count)
@@ -149,7 +151,8 @@ def build_hankel(
             f"m_c + m_o must equal len(params) - 1 = {m - 1}, got {m_c} + {m_o}"
         )
     q, p = seq.q, seq.p
-    h = np.empty(((m_o + 1) * q, (m_c + 1) * p), dtype=np.complex128)
+    dtype = _working_dtype(*seq.params, *seq.shifted)
+    h = np.empty(((m_o + 1) * q, (m_c + 1) * p), dtype=dtype)
     h_shift = np.empty_like(h)
     for i in range(m_o + 1):
         for j in range(m_c + 1):
@@ -160,7 +163,10 @@ def build_hankel(
 
 @dataclass(frozen=True)
 class EraRealization:
-    """Balanced state-space model realized from a Hankel pair."""
+    """Balanced state-space model realized from a Hankel pair.
+
+    The matrices are float64 for a real Hankel pair, complex128 otherwise.
+    """
 
     a_r: np.ndarray
     b_r: np.ndarray
@@ -188,8 +194,9 @@ def era_realize(
     U sqrt(S); the feedthrough passes through unchanged (zero block
     when not supplied, since the Markov sequence starts at C B).
     """
-    h = np.asarray(h, dtype=np.complex128)
-    hs = np.asarray(h_shift, dtype=np.complex128)
+    dtype = _working_dtype(h, h_shift)
+    h = np.asarray(h, dtype=dtype)
+    hs = np.asarray(h_shift, dtype=dtype)
     if h.shape != hs.shape:
         raise DimensionError(f"H and H' shapes differ: {h.shape} vs {hs.shape}")
     if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
@@ -206,7 +213,7 @@ def era_realize(
     a_r = (u.conj().T @ hs @ v) / np.outer(root, root)
     b_r = (root[:, None] * v.conj().T)[:, :p]
     c_r = (u * root[None, :])[:q, :]
-    d_r = np.zeros((q, p), dtype=np.complex128) if d is None else _as_block(d, q, p, "d")
+    d_r = np.zeros((q, p), dtype=dtype) if d is None else _as_block(d, q, p, "d")
     return EraRealization(
         a_r=a_r, b_r=b_r, c_r=c_r, d_r=d_r, order=r, singular_values=svd.sigma.copy()
     )
@@ -256,8 +263,9 @@ def era_dmd_similarity(
     similarity transform of the reduced operator, so the spectra must
     coincide and eigenvectors must map through sqrt(S).
     """
-    h = np.asarray(h, dtype=np.complex128)
-    hs = np.asarray(h_shift, dtype=np.complex128)
+    dtype = _working_dtype(h, h_shift)
+    h = np.asarray(h, dtype=dtype)
+    hs = np.asarray(h_shift, dtype=dtype)
     pair = pairs_from_arrays(h, hs)
     op = reduced_operator(pair, rtol=rtol, atol=atol)
     real = era_realize(h, hs, None, 1, 1, rtol=rtol, atol=atol)

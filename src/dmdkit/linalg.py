@@ -2,8 +2,10 @@
 
 Everything downstream funnels through these four entry points, so the
 rank threshold and the eigenpair residual contract are enforced once,
-here. Arrays are carried as complex128 throughout; real input is cast on
-the way in.
+here. Real input is carried as float64 and complex input as complex128,
+so every factorization of real data runs in real arithmetic. Complex
+numbers first appear in :func:`eig_dense`, whose eigenpairs are always
+complex128.
 """
 
 from __future__ import annotations
@@ -27,19 +29,29 @@ __all__ = [
 _EPS = float(np.finfo(np.float64).eps)
 
 
+def _working_dtype(*arrays) -> type:
+    """complex128 if any of ``arrays`` is complex, float64 otherwise."""
+    return np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite 2-D complex128 array."""
+    """Validate and return ``a`` as a finite 2-D float64 or complex128 array.
+
+    Complex input stays complex128; anything else becomes float64.
+    """
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(arr, dtype=np.complex128)
+    return np.ascontiguousarray(arr, dtype=_working_dtype(arr))
 
 
 @dataclass(frozen=True)
 class ReducedSvd:
     """Rank-truncated SVD ``x ~= u @ diag(sigma) @ v.conj().T``.
+
+    ``u`` and ``v`` are float64 for real x and complex128 for complex x.
 
     Attributes:
         u: (n, r) orthonormal columns.
@@ -64,6 +76,7 @@ class EigenPairs:
     left vectors satisfy ``left_vectors[:, j].conj().T @ m ==
     values[j] * left_vectors[:, j].conj().T``, index-paired with the right
     ones. No ordering is imposed here; callers sort as they see fit.
+    All three arrays are complex128, also for a real matrix.
     """
 
     values: np.ndarray
@@ -184,6 +197,9 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
     ``norm(m @ w - lam * w) <= eig_tol * norm(m, 'fro')`` for unit w,
     and left pairs the transposed analogue; violation raises
     :class:`EigensolverError` rather than returning silently bad vectors.
+    A real matrix is decomposed in real arithmetic; its complex
+    eigenvalues then come in exactly conjugate pairs with exactly
+    conjugate vectors.
     """
     mm = _as_matrix(m, "m")
     if mm.shape[0] != mm.shape[1]:
@@ -196,6 +212,9 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
     else:
         values, vr = scipy.linalg.eig(mm)
         vl = None
+    # A real matrix with a real spectrum gets real vectors from LAPACK.
+    values = values.astype(np.complex128, copy=False)
+    vr = vr.astype(np.complex128, copy=False)
 
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
     scale = float(np.linalg.norm(mm))
@@ -207,6 +226,7 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
             )
         )
     if vl is not None:
+        vl = vl.astype(np.complex128, copy=False)
         vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
         lres = np.linalg.norm(vl.conj().T @ mm - values[:, None] * vl.conj().T, axis=1)
         if np.any(lres > eig_tol * max(scale, _EPS)):

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError
+from .linalg import _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -35,10 +36,12 @@ _PROVENANCES = ("sequential", "strided", "concatenated", "generic", "delay-embed
 
 
 def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
-    """Coerce a snapshot collection to an (n, count) complex matrix.
+    """Coerce a snapshot collection to an (n, count) matrix.
 
     Accepts a 2-D array (columns already snapshots), a sequence of 1-D
-    vectors, or a sequence of scalars (treated as 1-D states).
+    vectors, or a sequence of scalars (treated as 1-D states). Complex
+    data comes back complex128 and everything else float64, so real
+    snapshots are decomposed in real arithmetic.
     """
     if isinstance(z, np.ndarray) and z.ndim == 2:
         mat = z
@@ -54,7 +57,7 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
         raise DimensionError(f"{name} is empty")
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(mat, dtype=np.complex128)
+    return np.ascontiguousarray(mat, dtype=_working_dtype(mat))
 
 
 @dataclass(frozen=True)

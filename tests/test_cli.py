@@ -49,6 +49,60 @@ class TestMatrixIo:
         with pytest.raises(ParseError, match="row 2"):
             read_matrix(path)
 
+    def test_round_trip_is_bit_exact_on_extreme_values(self, tmp_path):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        mat = np.array([
+            [tiny, -tiny, 2.2250738585072009e-308, np.finfo(np.float64).tiny],
+            [-0.0, 0.0, np.finfo(np.float64).max, -np.finfo(np.float64).max],
+            [0.1, 1.0 / 3.0, 2.0 / 3.0, 1.2345678901234567e-5],
+        ])
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2**63, size=(3, 4), dtype=np.uint64)
+        random = bits.view(np.float64)
+        mat = np.vstack([mat, np.where(np.isfinite(random), random, 1.5)])
+        path = str(tmp_path / "extreme.csv")
+        write_real_matrix(path, mat)
+        back = read_matrix(path)
+        assert np.array_equal(back.view(np.uint64), mat.view(np.uint64))
+
+    def test_header_is_the_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "h.csv"
+        path.write_text("\n\nre,im\n\n1.5,2.5\n")
+        assert np.array_equal(read_matrix(str(path), header=True), [[1.5, 2.5]])
+
+    def test_ragged_row_is_named_after_header_and_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("a,b\n1,2\n\n3,4\n5,6,7\n")
+        with pytest.raises(ParseError, match="row 3 has 3 fields, expected 2"):
+            read_matrix(str(path), header=True)
+
+    def test_non_numeric_token_names_its_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("1,2\n3,oops\n")
+        with pytest.raises(ParseError, match="row 2 is not numeric"):
+            read_matrix(str(path))
+
+    @pytest.mark.parametrize("name, text, header", [
+        ("empty", "", False),
+        ("blank-lines-only", "\n  \n", False),
+        ("header-only", "a,b\n\n", True),
+        ("ragged", "1,2\n3\n", False),
+        ("non-numeric", "1,2\nx,4\n", False),
+        ("empty-field", "1,,2\n", False),
+        ("comment-line", "# written by hand\n1,2\n", False),
+    ])
+    def test_malformed_input_is_a_parse_error(self, tmp_path, name, text, header):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError):
+            read_matrix(str(path), header=header)
+        argv = ["dmd", "--input", str(path)] + (["--header"] if header else [])
+        assert main(argv) == 3
+
+    def test_missing_file_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="cannot read"):
+            read_matrix(str(tmp_path / "absent.csv"))
+
     def test_complex_matrix_interleaves_rows(self, tmp_path):
         mat = np.array([[1.0 + 2.0j, 3.0 - 4.0j]])
         path = str(tmp_path / "c.csv")
