@@ -53,30 +53,24 @@ from .generators import (
 from .lim import (
     LimDmdReport,
     LimModel,
-    eof_coefficients,
-    green_function,
     lim_dmd_equivalence,
     lim_model,
-    most_probable_state,
 )
 from .linalg import (
     EigenPairs,
     ReducedSvd,
     eig_dense,
     orthonormal_basis,
-    pseudoinverse_apply,
     reduced_svd,
 )
 from .pairs import (
     SnapshotPairs,
-    TrajectorySet,
     delay_embed,
     embed_sequence,
     pairs_from_arrays,
     pairs_from_sequence,
     pairs_from_strided,
     pairs_from_trajectories,
-    permute_columns,
     snapshot_matrix,
     subtract_mean,
 )
@@ -104,13 +98,11 @@ __all__ = [
     "ReducedSvd",
     "SnapshotPairs",
     "SpectrumPoint",
-    "TrajectorySet",
     "adjoint_modes",
     "build_hankel",
     "delay_embed",
     "eig_dense",
     "embed_sequence",
-    "eof_coefficients",
     "era_dmd_similarity",
     "era_realize",
     "exact_dmd",
@@ -121,23 +113,19 @@ __all__ = [
     "gen_random_linear",
     "gen_standing_wave",
     "gen_two_timescale",
-    "green_function",
     "lim_dmd_equivalence",
     "lim_model",
     "linear_consistency",
     "markov_from_blocks",
     "markov_parameters",
     "match_eigenvalues",
-    "most_probable_state",
     "orthonormal_basis",
     "pairs_from_arrays",
     "pairs_from_sequence",
     "pairs_from_strided",
     "pairs_from_trajectories",
-    "permute_columns",
     "projected_dmd",
     "propagate",
-    "pseudoinverse_apply",
     "reconstruct",
     "reduced_operator",
     "reduced_svd",

@@ -20,7 +20,9 @@ File conventions
 Exit codes
     0 success, 2 usage or conflicting flags, 3 input parse failure,
     4 dimension mismatch, 5 rank-zero data, 6 domain refusal
-    (inconsistent request the library rejected), 1 unexpected error.
+    (inconsistent request the library rejected, including nan/inf
+    input values and a non-finite --dt or --m-weight), 1 unexpected
+    error.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from . import era as era_mod
 from . import generators as gen_mod
 from . import lim as lim_mod
 from .dmd import (
+    _rates,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
@@ -61,53 +63,7 @@ from .pairs import (
 )
 from .scaling import scale_amplitudes, scale_biorthogonal, scale_unit_norm
 
-__all__ = ["RunConfig", "run", "main", "build_parser"]
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; flags map onto fields 1:1."""
-
-    command: str
-    inputs: list[str] = field(default_factory=list)
-    output_dir: str = "."
-    header: bool = False
-    pairing: str = "sequential"
-    stride: int | None = None
-    delay: int = 1
-    mean: str = "none"
-    algorithm: str = "exact"
-    scaling: str = "none"
-    rank_rtol: float | None = None
-    rank_atol: float | None = None
-    zero_tol: float | None = None
-    include_zero_modes: bool = False
-    dt: float = 1.0
-    m_weight: float = 0.0
-    force: bool = False
-    # era
-    era_p: int = 1
-    era_q: int = 1
-    era_mc: int | None = None
-    era_mo: int | None = None
-    era_order: int | None = None  # None = full numerical rank
-    # gen
-    kind: str = "ar1"
-    steps: int = 100
-    seed: int = 0
-    output: str = "snapshots.csv"
-    decay: float = 0.5
-    sigma2: float = 1.0
-    z0: float = 0.0
-    theta: float = float(np.pi) / 4.0
-    dim: int = 4
-    spectral_radius: float = 0.9
-    f_fast: float = 1.0
-    f_slow: float = 0.1
-    decay_fast: float = 0.0
-    decay_slow: float = 0.0
-    amp_fast: float = 1.0
-    amp_slow: float = 1.0
+__all__ = ["main", "build_parser"]
 
 
 def _fmt(x: float) -> str:
@@ -180,15 +136,13 @@ def _tol_str(value: float | None) -> str:
     return "default" if value is None else _fmt(value)
 
 
-def _load_inputs(config: RunConfig) -> list[np.ndarray]:
+def _load_inputs(config: argparse.Namespace) -> list[np.ndarray]:
     if not config.inputs:
         raise ConfigError("at least one --input is required")
     return [read_matrix(p, config.header) for p in config.inputs]
 
 
-def _validate_pairing_flags(config: RunConfig) -> None:
-    if config.pairing not in ("sequential", "strided", "paired", "multi-run"):
-        raise ConfigError(f"unknown pairing {config.pairing!r}")
+def _validate_pairing_flags(config: argparse.Namespace) -> None:
     if config.pairing == "strided":
         if config.stride is None:
             raise ConfigError("--pairing strided requires --stride")
@@ -206,11 +160,9 @@ def _validate_pairing_flags(config: RunConfig) -> None:
             raise ConfigError("--pairing paired takes exactly two inputs (x, y)")
     elif config.pairing != "multi-run" and n_inputs != 1:
         raise ConfigError(f"--pairing {config.pairing} takes exactly one input")
-    if config.mean not in ("none", "x", "pooled"):
-        raise ConfigError(f"unknown mean mode {config.mean!r}")
 
 
-def _build_pairs(config: RunConfig, arrays: list[np.ndarray]):
+def _build_pairs(config: argparse.Namespace, arrays: list[np.ndarray]):
     """Returns (pairs, sequence-or-None) after delay embedding and centering."""
     if config.pairing == "sequential":
         z = arrays[0]
@@ -234,7 +186,7 @@ def _build_pairs(config: RunConfig, arrays: list[np.ndarray]):
     return pairs, z
 
 
-def _decompose(config: RunConfig, pairs, z):
+def _decompose(config: argparse.Namespace, pairs, z):
     kwargs = dict(
         rtol=config.rank_rtol,
         atol=config.rank_atol,
@@ -247,25 +199,17 @@ def _decompose(config: RunConfig, pairs, z):
         return projected_dmd(pairs, **kwargs)
     if config.algorithm == "qr":
         return exact_dmd_qr(pairs, **kwargs)
-    if config.algorithm == "sequential":
-        if z is None:
-            raise ConfigError("--algorithm sequential needs --pairing sequential")
-        return exact_dmd_sequential(z, dt=config.dt, **kwargs)
-    raise ConfigError(f"unknown algorithm {config.algorithm!r}")
+    return exact_dmd_sequential(z, dt=config.dt, **kwargs)
 
 
-def _apply_scaling(config: RunConfig, dec, pairs):
+def _apply_scaling(config: argparse.Namespace, dec, pairs):
     if config.scaling == "none":
         return dec
     if config.scaling == "unit-norm":
         return scale_unit_norm(dec)
     if config.scaling == "biorthogonal":
         return scale_biorthogonal(dec)
-    if config.scaling in ("amplitude-qr", "amplitude-gram"):
-        if pairs.provenance not in ("sequential", "delay-embedded"):
-            raise ConfigError("amplitude scaling needs --pairing sequential")
-        return scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
-    raise ConfigError(f"unknown scaling {config.scaling!r}")
+    return scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
 
 
 def _write_eigenvalue_table(path: str, dec, points) -> None:
@@ -298,7 +242,7 @@ def _write_eigenvalue_table(path: str, dec, points) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _run_dmd(config: RunConfig) -> None:
+def _run_dmd(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     if config.algorithm == "sequential" and config.pairing != "sequential":
         raise ConfigError("--algorithm sequential needs --pairing sequential")
@@ -353,7 +297,7 @@ def _run_dmd(config: RunConfig) -> None:
     _write_report(os.path.join(config.output_dir, "report.txt"), lines)
 
 
-def _run_check(config: RunConfig) -> None:
+def _run_check(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     arrays = _load_inputs(config)
     pairs, _ = _build_pairs(config, arrays)
@@ -383,16 +327,16 @@ def _run_check(config: RunConfig) -> None:
     _write_report(os.path.join(config.output_dir, "report.txt"), lines)
 
 
-def _run_era(config: RunConfig) -> None:
+def _run_era(config: argparse.Namespace) -> None:
     if len(config.inputs) != 1:
         raise ConfigError("era takes exactly one --input (Markov CSV)")
-    if config.era_p < 1 or config.era_q < 1:
+    if config.p < 1 or config.q < 1:
         raise ConfigError("--p and --q must be >= 1")
     stride = 1 if config.stride is None else config.stride
     if stride < 1:
         raise ConfigError("--stride must be >= 1")
     raw = read_matrix(config.inputs[0], config.header)
-    q, p = config.era_q, config.era_p
+    q, p = config.q, config.p
     if q * p == 1 and raw.shape[0] > 1 and raw.shape[1] == 1:
         raw = raw.T  # scalar sequence written one value per line
     if raw.shape[0] != q * p:
@@ -402,9 +346,9 @@ def _run_era(config: RunConfig) -> None:
         )
     blocks = [raw[:, j].reshape((q, p), order="F") for j in range(raw.shape[1])]
     seq = era_mod.markov_from_blocks(blocks, stride=stride)
-    h, h_shift = era_mod.build_hankel(seq, m_c=config.era_mc, m_o=config.era_mo)
+    h, h_shift = era_mod.build_hankel(seq, m_c=config.mc, m_o=config.mo)
     real = era_mod.era_realize(
-        h, h_shift, config.era_order, p, q,
+        h, h_shift, config.order, p, q,
         rtol=config.rank_rtol, atol=config.rank_atol,
     )
     report = era_mod.era_dmd_similarity(
@@ -439,7 +383,7 @@ def _run_era(config: RunConfig) -> None:
     _write_report(os.path.join(config.output_dir, "report.txt"), lines)
 
 
-def _run_lim(config: RunConfig) -> None:
+def _run_lim(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     arrays = _load_inputs(config)
     pairs, _ = _build_pairs(config, arrays)
@@ -457,12 +401,8 @@ def _run_lim(config: RunConfig) -> None:
     with open(os.path.join(config.output_dir, "eigenvalues.csv"), "w", encoding="utf-8") as fh:
         fh.write("re,im,magnitude,frequency,growth_continuous\n")
         for v in lam:
-            mag = abs(v)
-            freq = float(np.angle(v)) / (2.0 * np.pi * config.dt) if mag else 0.0
-            growth = float(np.log(mag)) / config.dt if mag else float("-inf")
-            fh.write(
-                ",".join(_fmt(x) for x in (v.real, v.imag, mag, freq, growth)) + "\n"
-            )
+            row = (v.real, v.imag, abs(v), *_rates(v, config.dt))
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
     lines = [
         "command: lim",
         f"inputs: {', '.join(config.inputs)}",
@@ -480,17 +420,15 @@ def _run_lim(config: RunConfig) -> None:
     _write_report(os.path.join(config.output_dir, "report.txt"), lines)
 
 
-def _run_gen(config: RunConfig) -> None:
+def _run_gen(config: argparse.Namespace) -> None:
     kind = config.kind
-    rng = np.random.default_rng(config.seed)
-    matrix_path = None
     if kind == "ar1":
         z = gen_mod.gen_ar1(
             config.decay, config.sigma2, config.steps, config.seed, z0=config.z0
         )
         data = z[None, :]
     elif kind in ("standing-wave", "planar-rotation"):
-        q = rng.standard_normal(config.dim)
+        q = np.random.default_rng(config.seed).standard_normal(config.dim)
         fn = (
             gen_mod.gen_standing_wave
             if kind == "standing-wave"
@@ -506,7 +444,7 @@ def _run_gen(config: RunConfig) -> None:
             os.path.dirname(config.output) or ".", "system_matrix.csv"
         )
         write_real_matrix(matrix_path, mat)
-    elif kind == "two-timescale":
+    else:  # two-timescale
         data = gen_mod.gen_two_timescale(
             config.f_fast,
             config.f_slow,
@@ -518,27 +456,10 @@ def _run_gen(config: RunConfig) -> None:
             dt=config.dt,
             amplitudes=(config.amp_fast, config.amp_slow),
         )
-    else:
-        raise ConfigError(f"unknown kind {kind!r}")
     out_dir = os.path.dirname(config.output)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     write_real_matrix(config.output, data)
-
-
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation; returns 0, raises on failure."""
-    dispatch = {
-        "dmd": _run_dmd,
-        "era": _run_era,
-        "lim": _run_lim,
-        "gen": _run_gen,
-        "check": _run_check,
-    }
-    if config.command not in dispatch:
-        raise ConfigError(f"unknown command {config.command!r}")
-    dispatch[config.command](config)
-    return 0
 
 
 def _add_common_io(sub: argparse.ArgumentParser) -> None:
@@ -547,6 +468,8 @@ def _add_common_io(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--output-dir", default=".", help="directory for output files")
     sub.add_argument("--header", action="store_true",
                      help="inputs carry one header row to skip")
+    sub.add_argument("--rank-rtol", type=float, default=None)
+    sub.add_argument("--rank-atol", type=float, default=None)
 
 
 def _add_pairing(sub: argparse.ArgumentParser) -> None:
@@ -558,10 +481,18 @@ def _add_pairing(sub: argparse.ArgumentParser) -> None:
                      help="stack this many consecutive snapshots per column")
     sub.add_argument("--mean", default="none", choices=["none", "x", "pooled"],
                      help="subtract the column mean before decomposing")
-    sub.add_argument("--rank-rtol", type=float, default=None, dest="rank_rtol")
-    sub.add_argument("--rank-atol", type=float, default=None, dest="rank_atol")
     sub.add_argument("--dt", type=float, default=1.0,
                      help="time advanced per snapshot pair")
+
+
+def _model_order(text: str) -> int | None:
+    """--order value: an integer, or None for "full" (the numerical rank)."""
+    if text == "full":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError('must be an integer or "full"') from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -580,33 +511,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_dmd.add_argument("--scaling", default="none",
                        choices=["none", "unit-norm", "biorthogonal",
                                 "amplitude-qr", "amplitude-gram"])
-    p_dmd.add_argument("--zero-tol", type=float, default=None, dest="zero_tol")
-    p_dmd.add_argument("--include-zero-modes", action="store_true",
-                       dest="include_zero_modes")
-    p_dmd.add_argument("--m-weight", type=float, default=0.0, dest="m_weight",
+    p_dmd.add_argument("--zero-tol", type=float, default=None)
+    p_dmd.add_argument("--include-zero-modes", action="store_true")
+    p_dmd.add_argument("--m-weight", type=float, default=0.0,
                        help="weight mode norms by |lambda|^m_weight")
+    p_dmd.set_defaults(run=_run_dmd)
 
     p_era = subs.add_parser("era", help="realize a state-space model from Markov data")
     _add_common_io(p_era)
-    p_era.add_argument("--p", type=int, default=1, dest="era_p",
-                       help="inputs per Markov block")
-    p_era.add_argument("--q", type=int, default=1, dest="era_q",
-                       help="outputs per Markov block")
+    p_era.add_argument("--p", type=int, default=1, help="inputs per Markov block")
+    p_era.add_argument("--q", type=int, default=1, help="outputs per Markov block")
     p_era.add_argument("--stride", type=int, default=None,
                        help="subsample the impulse sequence at this spacing")
-    p_era.add_argument("--mc", type=int, default=None, dest="era_mc",
+    p_era.add_argument("--mc", type=int, default=None,
                        help="Hankel block columns minus one")
-    p_era.add_argument("--mo", type=int, default=None, dest="era_mo",
+    p_era.add_argument("--mo", type=int, default=None,
                        help="Hankel block rows minus one")
-    p_era.add_argument("--order", default="full",
+    p_era.add_argument("--order", type=_model_order, default="full",
                        help='model order, or "full" for the numerical rank')
-    p_era.add_argument("--rank-rtol", type=float, default=None, dest="rank_rtol")
-    p_era.add_argument("--rank-atol", type=float, default=None, dest="rank_atol")
+    p_era.set_defaults(run=_run_era)
 
     p_lim = subs.add_parser("lim", help="fit the EOF-coefficient lag propagator")
     _add_common_io(p_lim)
     _add_pairing(p_lim)
-    p_lim.set_defaults(mean="x")
+    p_lim.set_defaults(mean="x", run=_run_lim)
     p_lim.add_argument("--force", action="store_true",
                        help="skip the mean-subtraction check")
 
@@ -627,49 +555,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--dim", type=int, default=4,
                        help="state dimension (shape vector size)")
     p_gen.add_argument("--spectral-radius", type=float, default=0.9,
-                       dest="spectral_radius", help="random-linear: |lambda| bound")
-    p_gen.add_argument("--f-fast", type=float, default=1.0, dest="f_fast")
-    p_gen.add_argument("--f-slow", type=float, default=0.1, dest="f_slow")
-    p_gen.add_argument("--decay-fast", type=float, default=0.0, dest="decay_fast")
-    p_gen.add_argument("--decay-slow", type=float, default=0.0, dest="decay_slow")
-    p_gen.add_argument("--amp-fast", type=float, default=1.0, dest="amp_fast")
-    p_gen.add_argument("--amp-slow", type=float, default=1.0, dest="amp_slow")
+                       help="random-linear: |lambda| bound")
+    p_gen.add_argument("--f-fast", type=float, default=1.0)
+    p_gen.add_argument("--f-slow", type=float, default=0.1)
+    p_gen.add_argument("--decay-fast", type=float, default=0.0)
+    p_gen.add_argument("--decay-slow", type=float, default=0.0)
+    p_gen.add_argument("--amp-fast", type=float, default=1.0)
+    p_gen.add_argument("--amp-slow", type=float, default=1.0)
     p_gen.add_argument("--dt", type=float, default=0.1,
                        help="two-timescale: sampling interval")
+    p_gen.set_defaults(run=_run_gen)
 
     p_chk = subs.add_parser("check", help="report whether the pairing is linearly consistent")
     _add_common_io(p_chk)
     _add_pairing(p_chk)
+    p_chk.set_defaults(run=_run_check)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    for key, value in vars(args).items():
-        if key == "command":
-            continue
-        if key == "era_order":
-            continue
-        if hasattr(config, key):
-            setattr(config, key, value)
-    if getattr(args, "order", None) is not None:
-        if args.order == "full":
-            config.era_order = None
-        else:
-            try:
-                config.era_order = int(args.order)
-            except ValueError as exc:
-                raise ConfigError('--order must be an integer or "full"') from exc
-    return config
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
+        args.run(args)
+        return 0
     except ConfigError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
         return 2

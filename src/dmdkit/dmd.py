@@ -12,6 +12,13 @@ Four routes to the same eigenvalues:
   series; augments range(x) with the one direction the last snapshot
   adds, so exact modes cost one extra basis vector.
 
+All four are one computation, :func:`_decompose`: build a small
+compression of A, eigendecompose it once, drop the zero modes, lift the
+eigenvectors, fix each mode's scale and phase, and order the modes.
+The routes only choose the compression basis (u, or q of [x y] for QR)
+and how the exact modes are lifted, which keeps the four-way agreement
+a real check.
+
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. Real snapshots stay real up to the small
 eigenproblem, and each lift of complex reduced vectors back to state
@@ -20,13 +27,13 @@ space is a product with a real matrix (:func:`_lift`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError
 from .linalg import ReducedSvd, eig_dense, orthonormal_basis, reduced_svd
-from .pairs import SnapshotPairs, pairs_from_sequence, snapshot_matrix
+from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
     "ReducedOperator",
@@ -206,14 +213,6 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.nd
     return _lift(op.svd_of_x.u, w)
 
 
-def _fill_zero_modes(
-    exact: np.ndarray, op: ReducedOperator, w: np.ndarray, zero: np.ndarray, y: np.ndarray
-) -> None:
-    """Put a null-space eigenvector of A into each column flagged ``zero``."""
-    for j in np.flatnonzero(zero):
-        exact[:, j] = _exact_zero_mode(op, w[:, j], y)
-
-
 # Entries whose magnitudes agree to this relative tolerance tie for the
 # phase reference, so roundoff cannot decide which one is made real.
 _PHASE_TIE_RTOL = 1e-12
@@ -242,88 +241,83 @@ def _column_scale(reduced: np.ndarray) -> np.ndarray:
     return phase / np.where(ok, norms, 1.0)
 
 
-def _take_scaled(a: np.ndarray, idx: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    out = np.take(a, idx, axis=1)
-    out *= scale
-    return out
-
-
-def _assemble(
-    *,
+def _decompose(
     algorithm: str,
-    eigenvalues: np.ndarray,
-    exact: np.ndarray,
-    projected: np.ndarray,
-    reduced: np.ndarray,
-    adjoint: np.ndarray | None,
-    svd_of_x: ReducedSvd,
-    zero_cut: float,
-    include_zero_modes: bool,
-    warnings: tuple[str, ...],
+    op: ReducedOperator,
+    *,
+    y: np.ndarray | None = None,
+    basis: np.ndarray | None = None,
+    direction: np.ndarray | None = None,
+    zero_tol: float | None = None,
+    include_zero_modes: bool = False,
+    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
-    """Drop zero modes, normalize, order; each family is copied once."""
-    kept = np.arange(len(eigenvalues))
-    if not include_zero_modes:
-        kept = np.flatnonzero(np.abs(eigenvalues) > zero_cut)
-    scale = _column_scale(reduced[:, kept])
+    """The one decomposition every route runs: eig, zero cut, lift, scale, order.
 
+    The small matrix is A compressed onto ``basis`` (the QR route's
+    orthonormal basis of [x y]) or, by default, onto u, which is
+    a_tilde itself. Zero modes are dropped before anything is lifted.
+    How the exact modes are lifted is the one thing the routes differ
+    in:
+
+    * qr: q v, already an eigenvector of A;
+    * exact, projected: (y v / sigma) w / lambda;
+    * sequential: u w plus the part of b w along the Gram-Schmidt
+      ``direction`` the last snapshot adds, divided by lambda; without
+      a direction (the last snapshot lies in range(x)) the exact modes
+      are the projected ones.
+
+    Null-space modes of the lambda-divided lifts come from
+    :func:`_exact_zero_mode`, which needs the images ``y``.
+    """
+    u = op.svd_of_x.u
+    if basis is None:
+        matrix = op.a_tilde
+    else:
+        # q* A q with A = b u*, assembled at reduced size.
+        uq = u.conj().T @ basis
+        matrix = (basis.conj().T @ op.b) @ uq
+    eig = eig_dense(matrix, want_left=True, eig_tol=eig_tol)
+    cut = _zero_tol(matrix, zero_tol)
+    kept = np.flatnonzero(include_zero_modes | (np.abs(eig.values) > cut))
+    lam = eig.values[kept]
+
+    vectors = eig.vectors[:, kept]
+    reduced = vectors if basis is None else _lift(uq, vectors)  # u* exact
+    projected = _lift(u, reduced)
+    if algorithm == "qr":
+        exact = _lift(basis, vectors)
+    elif algorithm == "sequential" and direction is None:
+        exact = projected
+    else:
+        zero = np.abs(lam) <= cut  # never set unless include_zero_modes
+        lam_or_one = np.where(zero, 1.0, lam)
+        if direction is None:
+            exact = _lift(op.b, vectors) / lam_or_one
+        else:
+            # b w itself is never formed, only its part along direction.
+            along = _lift((direction.conj() @ op.b)[None, :], vectors)[0]
+            exact = projected + np.outer(direction, along / lam_or_one)
+        for j in np.flatnonzero(zero):
+            exact[:, j] = _exact_zero_mode(op, vectors[:, j], y)
+
+    scale = _column_scale(reduced)
     own = projected if algorithm == "projected" else exact
-    norms = np.linalg.norm(own, axis=0)[kept] * np.abs(scale)
-    order = _canonical_order(eigenvalues[kept], norms)
-    idx, scale = kept[order], scale[order]
+    order = _canonical_order(lam, np.linalg.norm(own, axis=0) * np.abs(scale))
+    scale = scale[order]
+    exact, projected, reduced = (np.take(f, order, axis=1) for f in (exact, projected, reduced))
+    for family in (exact, projected, reduced):
+        family *= scale
     return DmdDecomposition(
-        eigenvalues=eigenvalues[idx],
-        exact_modes=_take_scaled(exact, idx, scale),
-        projected_modes=_take_scaled(projected, idx, scale),
-        reduced_vectors=_take_scaled(reduced, idx, scale),
-        adjoint_modes=np.take(adjoint, idx, axis=1) if adjoint is not None else None,
+        eigenvalues=lam[order],
+        exact_modes=exact,
+        projected_modes=projected,
+        reduced_vectors=reduced,
+        adjoint_modes=_lift(u if basis is None else basis, eig.left_vectors[:, kept[order]]),
         algorithm=algorithm,
         scaling="unit-norm",
-        svd_of_x=svd_of_x,
-        warnings=warnings,
-    )
-
-
-def _core_decomposition(
-    pairs: SnapshotPairs,
-    algorithm: str,
-    *,
-    rtol: float | None,
-    atol: float | None,
-    svd_method: str,
-    gram_tol: float | None,
-    zero_tol: float | None,
-    include_zero_modes: bool,
-    eig_tol: float,
-) -> DmdDecomposition:
-    """Shared path for the exact and projected algorithms."""
-    op = reduced_operator(
-        pairs, rtol=rtol, atol=atol, svd_method=svd_method, gram_tol=gram_tol
-    )
-    pairs_eig = eig_dense(op.a_tilde, want_left=True, eig_tol=eig_tol)
-    lam = pairs_eig.values
-    w = pairs_eig.vectors
-    u = op.svd_of_x.u
-
-    cut = _zero_tol(op.a_tilde, zero_tol)
-    projected = _lift(u, w)
-    zero = np.abs(lam) <= cut
-    # Zero-eigenvalue columns divide by 1 here and are replaced after.
-    exact = _lift(op.b, w) / np.where(zero, 1.0, lam)
-    _fill_zero_modes(exact, op, w, zero, pairs.y)
-    adjoint = _lift(u, pairs_eig.left_vectors)
-
-    return _assemble(
-        algorithm=algorithm,
-        eigenvalues=lam,
-        exact=exact,
-        projected=projected,
-        reduced=w,
-        adjoint=adjoint,
         svd_of_x=op.svd_of_x,
-        zero_cut=cut,
-        include_zero_modes=include_zero_modes,
-        warnings=_defect_warning(w),
+        warnings=_defect_warning(eig.vectors),
     )
 
 
@@ -345,16 +339,12 @@ def exact_dmd(
     Zero eigenvalues are dropped unless ``include_zero_modes`` is set,
     in which case a genuine null-space eigenvector is constructed.
     """
-    return _core_decomposition(
-        pairs,
-        "exact",
-        rtol=rtol,
-        atol=atol,
-        svd_method=svd_method,
-        gram_tol=gram_tol,
-        zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes,
-        eig_tol=eig_tol,
+    op = reduced_operator(
+        pairs, rtol=rtol, atol=atol, svd_method=svd_method, gram_tol=gram_tol
+    )
+    return _decompose(
+        "exact", op, y=pairs.y, zero_tol=zero_tol,
+        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
     )
 
 
@@ -374,16 +364,12 @@ def projected_dmd(
     Modes are u w for rank-space eigenvectors w; they equal the exact
     modes after projection onto range(x) and share their eigenvalues.
     """
-    return _core_decomposition(
-        pairs,
-        "projected",
-        rtol=rtol,
-        atol=atol,
-        svd_method=svd_method,
-        gram_tol=gram_tol,
-        zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes,
-        eig_tol=eig_tol,
+    op = reduced_operator(
+        pairs, rtol=rtol, atol=atol, svd_method=svd_method, gram_tol=gram_tol
+    )
+    return _decompose(
+        "projected", op, y=pairs.y, zero_tol=zero_tol,
+        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
     )
 
 
@@ -408,29 +394,9 @@ def exact_dmd_qr(
     q = orthonormal_basis(
         np.concatenate([pairs.x, pairs.y], axis=1), rtol=rtol, atol=atol
     )
-    u = op.svd_of_x.u
-    # a_tilde_q = q* A q with A = b u*, assembled at reduced size.
-    uq = u.conj().T @ q
-    a_q = (q.conj().T @ op.b) @ uq
-    pairs_eig = eig_dense(a_q, want_left=True, eig_tol=eig_tol)
-    lam = pairs_eig.values
-
-    exact = _lift(q, pairs_eig.vectors)
-    reduced = _lift(uq, pairs_eig.vectors)  # u* exact, at reduced size
-    projected = _lift(u, reduced)
-    adjoint = _lift(q, pairs_eig.left_vectors)
-
-    return _assemble(
-        algorithm="qr",
-        eigenvalues=lam,
-        exact=exact,
-        projected=projected,
-        reduced=reduced,
-        adjoint=adjoint,
-        svd_of_x=op.svd_of_x,
-        zero_cut=_zero_tol(a_q, zero_tol),
-        include_zero_modes=include_zero_modes,
-        warnings=_defect_warning(pairs_eig.vectors),
+    return _decompose(
+        "qr", op, basis=q, zero_tol=zero_tol,
+        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
     )
 
 
@@ -455,67 +421,29 @@ def exact_dmd_sequential(
     :func:`projected_dmd` on the same data; the exact and projected
     families are then identical.
     """
-    zmat = snapshot_matrix(z)
-    if zmat.shape[1] < 2:
-        raise DimensionError("a sequence needs at least 2 snapshots")
-    pairs = pairs_from_sequence(zmat, dt=dt)
+    pairs = pairs_from_sequence(z, dt=dt)
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     u = op.svd_of_x.u
-    z_last = zmat[:, -1]
+    z_last = pairs.y[:, -1]
     p = z_last - u @ (u.conj().T @ z_last)
-    in_span = np.linalg.norm(p) <= gs_tol * max(np.linalg.norm(z_last), _EPS)
-
-    pairs_eig = eig_dense(op.a_tilde, want_left=True, eig_tol=eig_tol)
-    lam = pairs_eig.values
-    w = pairs_eig.vectors
-    cut = _zero_tol(op.a_tilde, zero_tol)
-
-    projected = _lift(u, w)
-    if in_span:
-        exact = projected.copy()
-    else:
-        # Exact mode = u w + q (q* b w) / lambda: the part of b w along
-        # the new direction q, with b w itself never formed.
-        q = p / np.linalg.norm(p)
-        zero = np.abs(lam) <= cut
-        along_q = _lift((q.conj() @ op.b)[None, :], w)[0]
-        exact = projected + np.outer(q, along_q / np.where(zero, 1.0, lam))
-        _fill_zero_modes(exact, op, w, zero, pairs.y)
-    adjoint = _lift(u, pairs_eig.left_vectors)
-
-    return _assemble(
-        algorithm="sequential",
-        eigenvalues=lam,
-        exact=exact,
-        projected=projected,
-        reduced=w,
-        adjoint=adjoint,
-        svd_of_x=op.svd_of_x,
-        zero_cut=cut,
-        include_zero_modes=include_zero_modes,
-        warnings=_defect_warning(w),
+    p_norm = np.linalg.norm(p)
+    in_span = p_norm <= gs_tol * max(np.linalg.norm(z_last), _EPS)
+    return _decompose(
+        "sequential", op, y=pairs.y, direction=None if in_span else p / p_norm,
+        zero_tol=zero_tol, include_zero_modes=include_zero_modes, eig_tol=eig_tol,
     )
 
 
 def adjoint_modes(op: ReducedOperator, *, eig_tol: float = 1e-9) -> np.ndarray:
     """Left eigenvectors of A lifted to state space, psi* A = lambda psi*.
 
-    Columns follow the same ordering :func:`exact_dmd` would give its
-    modes on the same operator (descending exact-mode norm, then
-    descending |lambda|, then ascending arg), so column j pairs with
-    mode j of the default exact decomposition. Zero eigenvalues are
+    These are the adjoint modes of :func:`exact_dmd` on the same
+    operator with unit-norm columns, so column j pairs with mode j of
+    the default exact decomposition (descending exact-mode norm, then
+    descending |lambda|, then ascending arg). Zero eigenvalues are
     dropped, as there.
     """
-    pairs_eig = eig_dense(op.a_tilde, want_left=True, eig_tol=eig_tol)
-    lam = pairs_eig.values
-    cut = _zero_tol(op.a_tilde, None)
-    keep = np.abs(lam) > cut
-    lam = lam[keep]
-    w = pairs_eig.vectors[:, keep]
-    zv = pairs_eig.left_vectors[:, keep]
-    exact_norms = np.linalg.norm(_lift(op.b, w), axis=0) / np.abs(lam)
-    order = _canonical_order(lam, exact_norms)
-    psi = _lift(op.svd_of_x.u, zv[:, order])
+    psi = _decompose("exact", op, eig_tol=eig_tol).adjoint_modes
     return psi / np.linalg.norm(psi, axis=0, keepdims=True)
 
 
@@ -609,6 +537,15 @@ class SpectrumPoint:
     weighted_norm: float
 
 
+def _rates(lam: complex, dt: float) -> tuple[float, float]:
+    """Frequency (cycles per unit time) and continuous growth rate of one
+    eigenvalue advancing ``dt`` per step; a zero eigenvalue gives (0, -inf)."""
+    mag = abs(lam)
+    if mag == 0.0:
+        return 0.0, float("-inf")
+    return float(np.angle(lam)) / (2.0 * np.pi * dt), float(np.log(mag)) / dt
+
+
 def spectrum(dec: DmdDecomposition, dt: float = 1.0, m_weight: float = 0) -> list[SpectrumPoint]:
     """Per-mode frequencies, growth rates and (weighted) mode norms.
 
@@ -617,22 +554,21 @@ def spectrum(dec: DmdDecomposition, dt: float = 1.0, m_weight: float = 0) -> lis
     |lambda|^m_weight, emphasizing modes that persist over that many
     steps (0 leaves norms untouched).
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    if not np.isfinite(m_weight):
+        raise ValueError("m_weight must be finite")
     norms = np.linalg.norm(dec.modes, axis=0)
     points = []
     for lam, nrm in zip(dec.eigenvalues, norms):
         mag = abs(lam)
+        freq, growth_c = _rates(lam, dt)
         if mag == 0.0:
-            freq = 0.0
-            growth_c = float("-inf")
             if m_weight == 0:
                 weighted = float(nrm)
             else:
                 weighted = 0.0 if m_weight > 0 else float("inf")
         else:
-            freq = float(np.angle(lam)) / (2.0 * np.pi * dt)
-            growth_c = float(np.log(mag)) / dt
             weighted = float(nrm * mag**m_weight)
         points.append(
             SpectrumPoint(

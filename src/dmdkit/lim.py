@@ -19,17 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmd import reduced_operator
-from .errors import DimensionError
 from .pairs import SnapshotPairs
 
 __all__ = [
     "LimModel",
     "LimDmdReport",
-    "eof_coefficients",
     "lim_model",
-    "green_function",
     "lim_dmd_equivalence",
-    "most_probable_state",
 ]
 
 _MEAN_TOL = 1e-10
@@ -67,24 +63,6 @@ class LimModel:
     tau: float | None
 
 
-def eof_coefficients(
-    pairs: SnapshotPairs,
-    *,
-    force: bool = False,
-    rtol: float | None = None,
-    atol: float | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthogonal modes of x and both coefficient series.
-
-    Returns (eofs, x_hat, y_hat) with x_hat = eofs* x and
-    y_hat = eofs* y. The basis comes from x alone; y is only projected.
-    """
-    _require_centered(pairs, force)
-    op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    u = op.svd_of_x.u
-    return u, u.conj().T @ pairs.x, u.conj().T @ pairs.y
-
-
 def lim_model(
     pairs: SnapshotPairs,
     *,
@@ -114,17 +92,6 @@ def lim_model(
         green=green,
         tau=pairs.dt,
     )
-
-
-def green_function(
-    pairs: SnapshotPairs,
-    *,
-    force: bool = False,
-    rtol: float | None = None,
-    atol: float | None = None,
-) -> np.ndarray:
-    """The lag propagator alone; see :func:`lim_model`."""
-    return lim_model(pairs, force=force, rtol=rtol, atol=atol).green
 
 
 @dataclass(frozen=True)
@@ -164,16 +131,3 @@ def lim_dmd_equivalence(
         tol=bound,
         equivalent=diff <= bound,
     )
-
-
-def most_probable_state(green, x_hat_t) -> np.ndarray:
-    """Advance a coefficient state one lag: the conditional-mean forecast."""
-    g = np.asarray(green, dtype=np.complex128)
-    v = np.asarray(x_hat_t, dtype=np.complex128).reshape(-1)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionError("green must be square")
-    if v.shape[0] != g.shape[1]:
-        raise DimensionError(
-            f"coefficient state has {v.shape[0]} entries, expected {g.shape[1]}"
-        )
-    return g @ v

@@ -1,6 +1,6 @@
 """Dense linear-algebra kernels with explicit rank and residual policies.
 
-Everything downstream funnels through these four entry points, so the
+Everything downstream funnels through these three entry points, so the
 rank threshold and the eigenpair residual contract are enforced once,
 here. Real input is carried as float64 and complex input as complex128,
 so every factorization of real data runs in real arithmetic. Complex
@@ -23,7 +23,6 @@ __all__ = [
     "reduced_svd",
     "orthonormal_basis",
     "eig_dense",
-    "pseudoinverse_apply",
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -236,21 +235,3 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
                 )
             )
     return EigenPairs(values=values, vectors=vr, left_vectors=vl)
-
-
-def pseudoinverse_apply(svd: ReducedSvd, rhs) -> np.ndarray:
-    """Apply the pseudoinverse encoded by ``svd`` to ``rhs``.
-
-    Computes ``v @ diag(1/sigma) @ u* @ rhs`` factor by factor; the
-    full pseudoinverse matrix is never formed.
-    """
-    b = np.asarray(rhs, dtype=np.complex128)
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != svd.u.shape[0]:
-        raise DimensionError(
-            f"rhs has {b.shape[0] if b.ndim >= 1 else '?'} rows, expected {svd.u.shape[0]}"
-        )
-    out = svd.v @ ((svd.u.conj().T @ b) / svd.sigma[:, None])
-    return out[:, 0] if squeeze else out

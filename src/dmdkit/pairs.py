@@ -20,7 +20,6 @@ from .linalg import _working_dtype
 
 __all__ = [
     "SnapshotPairs",
-    "TrajectorySet",
     "snapshot_matrix",
     "pairs_from_arrays",
     "pairs_from_sequence",
@@ -29,7 +28,6 @@ __all__ = [
     "embed_sequence",
     "delay_embed",
     "subtract_mean",
-    "permute_columns",
 ]
 
 _PROVENANCES = ("sequential", "strided", "concatenated", "generic", "delay-embedded")
@@ -67,7 +65,8 @@ class SnapshotPairs:
     Attributes:
         x: (n, m) matrix of pre-images.
         y: (n, m) matrix of images, same shape as x.
-        dt: time advanced by one application of the map, if known.
+        dt: time advanced by one application of the map, if known;
+            finite and positive when given.
         provenance: how the pairing was built; one of "sequential",
             "strided", "concatenated", "generic", "delay-embedded".
     """
@@ -86,8 +85,8 @@ class SnapshotPairs:
             raise DimensionError("pairs need at least one column")
         if self.provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ValueError("dt must be positive when given")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive when given")
 
     @property
     def n_states(self) -> int:
@@ -96,30 +95,6 @@ class SnapshotPairs:
     @property
     def n_pairs(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass(frozen=True)
-class TrajectorySet:
-    """Several independent runs sampled with a shared timestep.
-
-    Each trajectory is an (n, count_j) matrix with count_j >= 2; the
-    state dimension n must agree across runs.
-    """
-
-    trajectories: tuple[np.ndarray, ...]
-    dt: float | None = None
-
-    def __post_init__(self):
-        if len(self.trajectories) == 0:
-            raise DimensionError("trajectory set is empty")
-        n = self.trajectories[0].shape[0]
-        for j, traj in enumerate(self.trajectories):
-            if traj.ndim != 2 or traj.shape[1] < 2:
-                raise DimensionError(f"trajectory {j} needs at least 2 snapshots")
-            if traj.shape[0] != n:
-                raise DimensionError(
-                    f"trajectory {j} has {traj.shape[0]} states, expected {n}"
-                )
 
 
 def pairs_from_arrays(x, y, *, dt: float | None = None) -> SnapshotPairs:
@@ -165,19 +140,25 @@ def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | 
     )
 
 
-def pairs_from_trajectories(runs: TrajectorySet | list | tuple, *, dt: float | None = None) -> SnapshotPairs:
-    """Concatenate the sequential pairs of several independent runs."""
-    if not isinstance(runs, TrajectorySet):
-        runs = TrajectorySet(
-            trajectories=tuple(snapshot_matrix(t, f"trajectory {j}") for j, t in enumerate(runs)),
-            dt=dt,
-        )
-    xs = [traj[:, :-1] for traj in runs.trajectories]
-    ys = [traj[:, 1:] for traj in runs.trajectories]
+def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> SnapshotPairs:
+    """Concatenate the sequential pairs of several independent runs.
+
+    Each run is an (n, count_j) snapshot matrix with count_j >= 2; the
+    state dimension n must agree across runs, which share the timestep.
+    """
+    trajectories = [snapshot_matrix(t, f"trajectory {j}") for j, t in enumerate(runs)]
+    if not trajectories:
+        raise DimensionError("no trajectories given")
+    n = trajectories[0].shape[0]
+    for j, traj in enumerate(trajectories):
+        if traj.shape[1] < 2:
+            raise DimensionError(f"trajectory {j} needs at least 2 snapshots")
+        if traj.shape[0] != n:
+            raise DimensionError(f"trajectory {j} has {traj.shape[0]} states, expected {n}")
     return SnapshotPairs(
-        x=np.concatenate(xs, axis=1),
-        y=np.concatenate(ys, axis=1),
-        dt=dt if dt is not None else runs.dt,
+        x=np.concatenate([traj[:, :-1] for traj in trajectories], axis=1),
+        y=np.concatenate([traj[:, 1:] for traj in trajectories], axis=1),
+        dt=dt,
         provenance="concatenated",
     )
 
@@ -238,17 +219,3 @@ def subtract_mean(pairs: SnapshotPairs, mode: str = "x-mean") -> tuple[SnapshotP
         replace(pairs, x=pairs.x - mean[:, None], y=pairs.y - mean[:, None]),
         mean,
     )
-
-
-def permute_columns(pairs: SnapshotPairs, perm) -> SnapshotPairs:
-    """Reorder the pair columns by the same permutation on x and y.
-
-    The pairing (x_k, y_k) is preserved, only the column order changes;
-    the fitted operator is invariant under this.
-    """
-    p = np.asarray(perm)
-    m = pairs.n_pairs
-    if p.shape != (m,) or not np.array_equal(np.sort(p), np.arange(m)):
-        raise ValueError(f"perm must be a permutation of range({m})")
-    # Column order no longer encodes time, so the result is generic.
-    return SnapshotPairs(x=pairs.x[:, p], y=pairs.y[:, p], dt=pairs.dt, provenance="generic")

@@ -314,6 +314,30 @@ class TestExitCodes:
         assert code == 6
         assert "error[domain]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["dmd", "--dt", "inf"],
+        ["lim", "--dt", "inf"],
+        ["dmd", "--m-weight", "nan"],
+    ])
+    def test_non_finite_flag_is_a_domain_error(self, tmp_path, capsys, argv):
+        src = str(tmp_path / "z.csv")
+        write_real_matrix(src, np.random.default_rng(2).standard_normal((3, 12)))
+        out = tmp_path / "out"
+        code = main(argv + ["--input", src, "--output-dir", str(out)])
+        assert code == 6
+        assert "error[domain]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["dmd", "check", "lim", "era"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_token_is_a_domain_error(self, tmp_path, capsys, command, token):
+        # The token parses as a float; the data is then refused, not the file.
+        src = tmp_path / "z.csv"
+        src.write_text(f"1.0,0.5,{token},0.125,0.0625,0.03125\n")
+        code = main([command, "--input", str(src), "--output-dir", str(tmp_path / "out")])
+        assert code == 6
+        assert "error[domain]" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["dmd", "--no-such-flag"])

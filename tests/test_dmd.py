@@ -20,6 +20,7 @@ from dmdkit import (
     reduced_operator,
     spectrum,
 )
+from dmdkit import dmd as dmd_module
 from dmdkit.errors import DimensionError
 
 
@@ -263,6 +264,21 @@ class TestZeroModes:
         mode = dec.exact_modes[:, 0]
         overlap = abs(np.vdot(mode, q / np.linalg.norm(q)))
         assert overlap > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("route", [exact_dmd, projected_dmd])
+    @pytest.mark.parametrize("include, built", [(False, 0), (True, 3)])
+    def test_null_space_modes_built_only_when_kept(self, monkeypatch, route, include, built):
+        # y = x m with rank(m) = 5 leaves three zero eigenvalues out of 8.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((300, 8))
+        m = rng.standard_normal((8, 5)) @ rng.standard_normal((5, 8))
+        calls = []
+        real_zero_mode = dmd_module._exact_zero_mode
+        monkeypatch.setattr(dmd_module, "_exact_zero_mode",
+                            lambda *args: calls.append(1) or real_zero_mode(*args))
+        dec = route(pairs_from_arrays(x, x @ m), include_zero_modes=include)
+        assert dec.n_modes == 5 + built
+        assert len(calls) == built
 
 
 class TestConsistency:

@@ -6,10 +6,8 @@ import pytest
 from dmdkit import (
     eig_dense,
     exact_dmd,
-    green_function,
     lim_dmd_equivalence,
     lim_model,
-    most_probable_state,
     pairs_from_arrays,
     pairs_from_sequence,
     reduced_operator,
@@ -96,23 +94,9 @@ class TestEquivalence:
             op = reduced_operator(pairs)
             assert np.abs(rep.green - op.a_tilde).max() < 1e-12 * np.linalg.norm(op.a_tilde)
 
-    def test_green_function_helper_agrees(self):
-        pairs, _ = _centered_pairs(7)
-        g = green_function(pairs)
-        model = lim_model(pairs)
-        assert np.array_equal(g, model.green)
-
     def test_propagator_spectrum_matches_decomposition(self):
         pairs, _ = _centered_pairs(8)
         model = lim_model(pairs)
         lam_g = np.sort_complex(eig_dense(model.green).values)
         lam_d = np.sort_complex(exact_dmd(pairs).eigenvalues)
         assert np.allclose(lam_g, lam_d, atol=1e-10)
-
-
-def test_most_probable_state_applies_propagator():
-    pairs, _ = _centered_pairs(9)
-    model = lim_model(pairs)
-    v = np.arange(model.green.shape[1], dtype=float)
-    out = most_probable_state(model.green, v)
-    assert np.allclose(out, model.green @ v, atol=1e-14)

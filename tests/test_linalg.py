@@ -9,7 +9,6 @@ from dmdkit import (
     ReducedSvd,
     eig_dense,
     orthonormal_basis,
-    pseudoinverse_apply,
     reduced_svd,
 )
 from dmdkit.errors import DimensionError, EigensolverError
@@ -144,21 +143,6 @@ class TestEigDense:
 
 
 class TestHelpers:
-    def test_pseudoinverse_apply_diagonal(self):
-        svd = reduced_svd(np.diag([2.0, 4.0]))
-        out = pseudoinverse_apply(svd, np.array([2.0, 4.0]))
-        assert np.allclose(out, [1.0, 1.0], atol=1e-14)
-
-    def test_pseudoinverse_apply_matches_numpy(self):
-        for seed in range(6):
-            rng = np.random.default_rng(200 + seed)
-            x = rng.standard_normal((7, 4))
-            rhs = rng.standard_normal((7, 3))
-            svd = reduced_svd(x)
-            want = np.linalg.pinv(x) @ rhs
-            got = pseudoinverse_apply(svd, rhs)
-            assert np.linalg.norm(got - want) < 1e-10
-
     def test_orthonormal_basis_spans_input(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((6, 2))

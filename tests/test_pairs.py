@@ -11,7 +11,6 @@ from dmdkit import (
     pairs_from_sequence,
     pairs_from_strided,
     pairs_from_trajectories,
-    permute_columns,
     snapshot_matrix,
     subtract_mean,
 )
@@ -93,6 +92,15 @@ def test_pairs_from_trajectories_concatenates_runs():
     assert np.array_equal(pairs.y[:, 4:], runs[1][:, 1:])
 
 
+@pytest.mark.parametrize("runs, message", [
+    ([np.ones((3, 5)), np.ones((3, 1))], "trajectory 1 needs at least 2 snapshots"),
+    ([np.ones((3, 5)), np.ones((2, 4))], "trajectory 1 has 2 states, expected 3"),
+])
+def test_pairs_from_trajectories_rejects_mismatched_runs(runs, message):
+    with pytest.raises(DimensionError, match=message):
+        pairs_from_trajectories(runs)
+
+
 def test_embed_sequence_stacks_consecutive_snapshots():
     z = np.arange(6.0)[None, :]
     emb = embed_sequence(z, 3)
@@ -147,25 +155,6 @@ def test_subtract_mean_pooled_mode():
     assert np.allclose(mean, pooled)
     stacked = np.hstack([centered.x, centered.y])
     assert np.allclose(stacked.mean(axis=1), 0.0, atol=1e-12)
-
-
-def test_permute_columns_keeps_pairing():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((3, 5))
-    y = rng.standard_normal((3, 5))
-    pairs = pairs_from_arrays(x, y)
-    perm = [4, 2, 0, 1, 3]
-    out = permute_columns(pairs, perm)
-    assert out.provenance == "generic"
-    for new, old in enumerate(perm):
-        assert np.array_equal(out.x[:, new], pairs.x[:, old])
-        assert np.array_equal(out.y[:, new], pairs.y[:, old])
-
-
-def test_permute_columns_rejects_non_permutation():
-    pairs = pairs_from_arrays(np.eye(3), np.eye(3))
-    with pytest.raises(ValueError):
-        permute_columns(pairs, [0, 0, 2])
 
 
 def test_validation_rejects_nan():

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import (
+    adjoint_modes,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
+    reduced_operator,
 )
 
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -91,3 +93,27 @@ def test_four_routes_agree(z):
     ):
         assert other.shape == base.shape
         assert _matched_gap(other, base) <= 1e-9
+
+
+@PROFILE
+@given(real_pairs(), st.randoms(use_true_random=False))
+def test_column_order_of_the_pairs_does_not_move_the_eigenvalues(pairs, random):
+    perm = list(range(pairs.n_pairs))
+    random.shuffle(perm)
+    shuffled = pairs_from_arrays(pairs.x[:, perm], pairs.y[:, perm])
+    for route in (exact_dmd, projected_dmd, exact_dmd_qr):
+        base = route(pairs).eigenvalues
+        other = route(shuffled).eigenvalues
+        assert other.shape == base.shape, route.__name__
+        if base.size:
+            assert _matched_gap(other, base) <= 1e-9, route.__name__
+
+
+@PROFILE
+@given(real_pairs())
+def test_adjoint_modes_are_the_normalized_exact_adjoints(pairs):
+    psi = exact_dmd(pairs).adjoint_modes
+    want = psi / np.linalg.norm(psi, axis=0, keepdims=True)
+    got = adjoint_modes(reduced_operator(pairs))
+    assert got.shape == want.shape
+    assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-12)
