@@ -13,7 +13,6 @@ from .dmd import (
     Reconstruction,
     ReducedOperator,
     SpectrumPoint,
-    adjoint_modes,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
@@ -60,7 +59,6 @@ from .linalg import (
     EigenPairs,
     ReducedSvd,
     eig_dense,
-    orthonormal_basis,
     reduced_svd,
 )
 from .pairs import (
@@ -74,7 +72,7 @@ from .pairs import (
     snapshot_matrix,
     subtract_mean,
 )
-from .scaling import scale_amplitudes, scale_biorthogonal, scale_unit_norm
+from .scaling import scale_amplitudes, scale_biorthogonal
 
 __version__ = "0.1.0"
 
@@ -98,7 +96,6 @@ __all__ = [
     "ReducedSvd",
     "SnapshotPairs",
     "SpectrumPoint",
-    "adjoint_modes",
     "build_hankel",
     "delay_embed",
     "eig_dense",
@@ -119,7 +116,6 @@ __all__ = [
     "markov_from_blocks",
     "markov_parameters",
     "match_eigenvalues",
-    "orthonormal_basis",
     "pairs_from_arrays",
     "pairs_from_sequence",
     "pairs_from_strided",
@@ -131,7 +127,6 @@ __all__ = [
     "reduced_svd",
     "scale_amplitudes",
     "scale_biorthogonal",
-    "scale_unit_norm",
     "snapshot_matrix",
     "spectrum",
     "subtract_mean",

@@ -21,8 +21,8 @@ Exit codes
     0 success, 2 usage or conflicting flags, 3 input parse failure,
     4 dimension mismatch, 5 rank-zero data, 6 domain refusal
     (inconsistent request the library rejected, including nan/inf
-    input values and a non-finite --dt or --m-weight), 1 unexpected
-    error.
+    input values, a non-finite --dt or --m-weight and a nan
+    --rank-rtol, --rank-atol or --zero-tol), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .pairs import (
     pairs_from_trajectories,
     subtract_mean,
 )
-from .scaling import scale_amplitudes, scale_biorthogonal, scale_unit_norm
+from .scaling import scale_amplitudes, scale_biorthogonal
 
 __all__ = ["main", "build_parser"]
 
@@ -203,43 +203,28 @@ def _decompose(config: argparse.Namespace, pairs, z):
 
 
 def _apply_scaling(config: argparse.Namespace, dec, pairs):
-    if config.scaling == "none":
+    if config.scaling == "unit-norm":  # every decomposition already is
         return dec
-    if config.scaling == "unit-norm":
-        return scale_unit_norm(dec)
     if config.scaling == "biorthogonal":
         return scale_biorthogonal(dec)
     return scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
 
 
-def _write_eigenvalue_table(path: str, dec, points) -> None:
-    cols = [
-        "re",
-        "im",
-        "magnitude",
-        "frequency",
-        "growth_continuous",
-        "mode_norm",
-        "weighted_norm",
-    ]
-    with_amp = dec.amplitudes is not None
-    if with_amp:
-        cols += ["amplitude_re", "amplitude_im"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for j, pt in enumerate(points):
-            row = [
-                pt.eigenvalue.real,
-                pt.eigenvalue.imag,
-                pt.growth_discrete,
-                pt.frequency,
-                pt.growth_continuous,
-                pt.mode_norm,
-                pt.weighted_norm,
-            ]
-            if with_amp:
-                row += [dec.amplitudes[j].real, dec.amplitudes[j].imag]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a small matrix, descending |lambda| then ascending arg."""
+    lam = eig_dense(mat).values
+    return lam[np.lexsort((np.angle(lam), -np.abs(lam)))]
+
+
+def _write_eigenvalue_table(path: str, lam: np.ndarray, columns: dict) -> None:
+    """One row per eigenvalue: re, im, magnitude, then the named ``columns``.
+
+    The magnitude is taken one value at a time, as :func:`spectrum` does;
+    numpy's vectorised complex abs can differ from it in the last bit.
+    """
+    magnitude = [abs(v) for v in lam]
+    table = np.column_stack([lam.real, lam.imag, magnitude, *columns.values()])
+    write_real_matrix(path, table, header=["re", "im", "magnitude", *columns])
 
 
 def _run_dmd(config: argparse.Namespace) -> None:
@@ -257,8 +242,16 @@ def _run_dmd(config: argparse.Namespace) -> None:
     dec = _apply_scaling(config, dec, pairs)
     points = spectrum(dec, dt=config.dt, m_weight=config.m_weight)
 
+    columns = {
+        name: [getattr(pt, name) for pt in points]
+        for name in ("frequency", "growth_continuous", "mode_norm", "weighted_norm")
+    }
+    if dec.amplitudes is not None:
+        columns.update(amplitude_re=dec.amplitudes.real, amplitude_im=dec.amplitudes.imag)
     os.makedirs(config.output_dir, exist_ok=True)
-    _write_eigenvalue_table(os.path.join(config.output_dir, "eigenvalues.csv"), dec, points)
+    _write_eigenvalue_table(
+        os.path.join(config.output_dir, "eigenvalues.csv"), dec.eigenvalues, columns
+    )
     write_complex_matrix(
         os.path.join(config.output_dir, "modes.csv"),
         dec.modes,
@@ -356,12 +349,8 @@ def _run_era(config: argparse.Namespace) -> None:
     )
 
     os.makedirs(config.output_dir, exist_ok=True)
-    poles = eig_dense(real.a_r).values
-    poles = poles[np.lexsort((np.angle(poles), -np.abs(poles)))]
-    with open(os.path.join(config.output_dir, "poles.csv"), "w", encoding="utf-8") as fh:
-        fh.write("re,im,magnitude\n")
-        for lam in poles:
-            fh.write(",".join(_fmt(v) for v in (lam.real, lam.imag, abs(lam))) + "\n")
+    poles = _sorted_eigenvalues(real.a_r)
+    _write_eigenvalue_table(os.path.join(config.output_dir, "poles.csv"), poles, {})
     write_complex_matrix(os.path.join(config.output_dir, "a_r.csv"), real.a_r)
     write_complex_matrix(os.path.join(config.output_dir, "b_r.csv"), real.b_r)
     write_complex_matrix(os.path.join(config.output_dir, "c_r.csv"), real.c_r)
@@ -396,13 +385,12 @@ def _run_lim(config: argparse.Namespace) -> None:
 
     os.makedirs(config.output_dir, exist_ok=True)
     write_complex_matrix(os.path.join(config.output_dir, "green.csv"), model.green)
-    lam = eig_dense(model.green).values
-    lam = lam[np.lexsort((np.angle(lam), -np.abs(lam)))]
-    with open(os.path.join(config.output_dir, "eigenvalues.csv"), "w", encoding="utf-8") as fh:
-        fh.write("re,im,magnitude,frequency,growth_continuous\n")
-        for v in lam:
-            row = (v.real, v.imag, abs(v), *_rates(v, config.dt))
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    lam = _sorted_eigenvalues(model.green)
+    frequency, growth = zip(*(_rates(v, config.dt) for v in lam))
+    _write_eigenvalue_table(
+        os.path.join(config.output_dir, "eigenvalues.csv"), lam,
+        {"frequency": frequency, "growth_continuous": growth},
+    )
     lines = [
         "command: lim",
         f"inputs: {', '.join(config.inputs)}",
@@ -508,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pairing(p_dmd)
     p_dmd.add_argument("--algorithm", default="exact",
                        choices=["exact", "projected", "qr", "sequential"])
-    p_dmd.add_argument("--scaling", default="none",
-                       choices=["none", "unit-norm", "biorthogonal",
+    p_dmd.add_argument("--scaling", default="unit-norm",
+                       choices=["unit-norm", "biorthogonal",
                                 "amplitude-qr", "amplitude-gram"])
     p_dmd.add_argument("--zero-tol", type=float, default=None)
     p_dmd.add_argument("--include-zero-modes", action="store_true")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import ReducedSvd, eig_dense, orthonormal_basis, reduced_svd
+from .linalg import ReducedSvd, eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "projected_dmd",
     "exact_dmd_qr",
     "exact_dmd_sequential",
-    "adjoint_modes",
     "linear_consistency",
     "reconstruct",
     "propagate",
@@ -54,6 +53,14 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# The sequential route treats the last snapshot as lying in range(x)
+# when its part outside that range is below this fraction of its norm.
+_GS_TOL = 1e-10
+
+# linear_consistency calls a pairing consistent when its relative
+# defect is at most this.
+_CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,9 @@ def reduced_operator(
     *,
     rtol: float | None = None,
     atol: float | None = None,
-    svd_method: str = "direct",
-    gram_tol: float | None = None,
 ) -> ReducedOperator:
     """Compress A = y x^+ to the numerical column space of x."""
-    if svd_method == "gram":
-        svd = reduced_svd(pairs.x, method="gram", gram_tol=gram_tol)
-    else:
-        svd = reduced_svd(pairs.x, rtol=rtol, atol=atol, method=svd_method)
+    svd = reduced_svd(pairs.x, rtol=rtol, atol=atol)
     b = (pairs.y @ svd.v) / svd.sigma[None, :]
     return ReducedOperator(a_tilde=svd.u.conj().T @ b, svd_of_x=svd, b=b)
 
@@ -151,8 +153,8 @@ def _canonical_order(eigenvalues: np.ndarray, mode_norms: np.ndarray) -> np.ndar
 
 def _zero_tol(a_tilde: np.ndarray, zero_tol: float | None) -> float:
     if zero_tol is not None:
-        if zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
+        if not zero_tol >= 0:
+            raise ValueError(f"zero_tol must be nonnegative, got {zero_tol}")
         return float(zero_tol)
     r = a_tilde.shape[0]
     return r * _EPS * float(np.linalg.norm(a_tilde))
@@ -250,7 +252,6 @@ def _decompose(
     direction: np.ndarray | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
-    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
     """The one decomposition every route runs: eig, zero cut, lift, scale, order.
 
@@ -277,7 +278,7 @@ def _decompose(
         # q* A q with A = b u*, assembled at reduced size.
         uq = u.conj().T @ basis
         matrix = (basis.conj().T @ op.b) @ uq
-    eig = eig_dense(matrix, want_left=True, eig_tol=eig_tol)
+    eig = eig_dense(matrix, want_left=True)
     cut = _zero_tol(matrix, zero_tol)
     kept = np.flatnonzero(include_zero_modes | (np.abs(eig.values) > cut))
     lam = eig.values[kept]
@@ -326,11 +327,8 @@ def exact_dmd(
     *,
     rtol: float | None = None,
     atol: float | None = None,
-    svd_method: str = "direct",
-    gram_tol: float | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
-    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
     """Eigenpairs of A = y x^+ with modes in the image of y.
 
@@ -339,12 +337,10 @@ def exact_dmd(
     Zero eigenvalues are dropped unless ``include_zero_modes`` is set,
     in which case a genuine null-space eigenvector is constructed.
     """
-    op = reduced_operator(
-        pairs, rtol=rtol, atol=atol, svd_method=svd_method, gram_tol=gram_tol
-    )
+    op = reduced_operator(pairs, rtol=rtol, atol=atol)
     return _decompose(
         "exact", op, y=pairs.y, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
+        include_zero_modes=include_zero_modes,
     )
 
 
@@ -353,23 +349,18 @@ def projected_dmd(
     *,
     rtol: float | None = None,
     atol: float | None = None,
-    svd_method: str = "direct",
-    gram_tol: float | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
-    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
     """Eigenpairs of A projected onto the column space of x.
 
     Modes are u w for rank-space eigenvectors w; they equal the exact
     modes after projection onto range(x) and share their eigenvalues.
     """
-    op = reduced_operator(
-        pairs, rtol=rtol, atol=atol, svd_method=svd_method, gram_tol=gram_tol
-    )
+    op = reduced_operator(pairs, rtol=rtol, atol=atol)
     return _decompose(
         "projected", op, y=pairs.y, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
+        include_zero_modes=include_zero_modes,
     )
 
 
@@ -380,7 +371,6 @@ def exact_dmd_qr(
     atol: float | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
-    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
     """Exact modes via an orthonormal basis q of [x y].
 
@@ -391,12 +381,12 @@ def exact_dmd_qr(
     eigenvalues are wanted at once.
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    q = orthonormal_basis(
+    q = reduced_svd(
         np.concatenate([pairs.x, pairs.y], axis=1), rtol=rtol, atol=atol
-    )
+    ).u
     return _decompose(
         "qr", op, basis=q, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes, eig_tol=eig_tol,
+        include_zero_modes=include_zero_modes,
     )
 
 
@@ -408,8 +398,6 @@ def exact_dmd_sequential(
     atol: float | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
-    gs_tol: float = 1e-10,
-    eig_tol: float = 1e-9,
 ) -> DmdDecomposition:
     """Exact modes from a single time series z_0, ..., z_m.
 
@@ -417,8 +405,8 @@ def exact_dmd_sequential(
     Gram-Schmidt step against u supplies the full basis of [x y] and
     the exact mode is u w plus a rank-one correction along that new
     direction. When the final snapshot already lies in range(x)
-    (relative residual below ``gs_tol``) the output coincides with
-    :func:`projected_dmd` on the same data; the exact and projected
+    (relative residual at most ``_GS_TOL``, 1e-10) the output coincides
+    with :func:`projected_dmd` on the same data; the exact and projected
     families are then identical.
     """
     pairs = pairs_from_sequence(z, dt=dt)
@@ -427,24 +415,11 @@ def exact_dmd_sequential(
     z_last = pairs.y[:, -1]
     p = z_last - u @ (u.conj().T @ z_last)
     p_norm = np.linalg.norm(p)
-    in_span = p_norm <= gs_tol * max(np.linalg.norm(z_last), _EPS)
+    in_span = p_norm <= _GS_TOL * max(np.linalg.norm(z_last), _EPS)
     return _decompose(
         "sequential", op, y=pairs.y, direction=None if in_span else p / p_norm,
-        zero_tol=zero_tol, include_zero_modes=include_zero_modes, eig_tol=eig_tol,
+        zero_tol=zero_tol, include_zero_modes=include_zero_modes,
     )
-
-
-def adjoint_modes(op: ReducedOperator, *, eig_tol: float = 1e-9) -> np.ndarray:
-    """Left eigenvectors of A lifted to state space, psi* A = lambda psi*.
-
-    These are the adjoint modes of :func:`exact_dmd` on the same
-    operator with unit-norm columns, so column j pairs with mode j of
-    the default exact decomposition (descending exact-mode norm, then
-    descending |lambda|, then ascending arg). Zero eigenvalues are
-    dropped, as there.
-    """
-    psi = _decompose("exact", op, eig_tol=eig_tol).adjoint_modes
-    return psi / np.linalg.norm(psi, axis=0, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -464,22 +439,27 @@ class ConsistencyReport:
     rank: int
 
 
-def linear_consistency(pairs: SnapshotPairs, *, tol: float = 1e-10,
-                       rtol: float | None = None, atol: float | None = None) -> ConsistencyReport:
-    """Measure whether any linear operator can map each x_k to y_k."""
+def linear_consistency(
+    pairs: SnapshotPairs, *, rtol: float | None = None, atol: float | None = None
+) -> ConsistencyReport:
+    """Measure whether any linear operator can map each x_k to y_k.
+
+    The pairing counts as consistent when its defect is at most
+    ``_CONSISTENCY_TOL`` (1e-10), the value reported as ``tol``.
+    """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     v = op.svd_of_x.v
     y = pairs.y
     y_norm = float(np.linalg.norm(y))
     if y_norm == 0.0:
-        return ConsistencyReport(True, 0.0, 0.0, tol, op.svd_of_x.rank)
+        return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op.svd_of_x.rank)
     defect = float(np.linalg.norm(y - (y @ v) @ v.conj().T)) / y_norm
     residual = float(np.linalg.norm(op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y)) / y_norm
     return ConsistencyReport(
-        consistent=defect <= tol,
+        consistent=defect <= _CONSISTENCY_TOL,
         defect=defect,
         residual=residual,
-        tol=tol,
+        tol=_CONSISTENCY_TOL,
         rank=op.svd_of_x.rank,
     )
 

@@ -1,9 +1,10 @@
 """Dense linear-algebra kernels with explicit rank and residual policies.
 
-Everything downstream funnels through these three entry points, so the
-rank threshold and the eigenpair residual contract are enforced once,
-here. Real input is carried as float64 and complex input as complex128,
-so every factorization of real data runs in real arithmetic. Complex
+Everything downstream funnels through the two entry points here,
+:func:`reduced_svd` and :func:`eig_dense`, so the rank threshold and
+the eigenpair residual contract are enforced once. Real input is
+carried as float64 and complex input as complex128, so every
+factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 """
@@ -21,7 +22,6 @@ __all__ = [
     "ReducedSvd",
     "EigenPairs",
     "reduced_svd",
-    "orthonormal_basis",
     "eig_dense",
 ]
 
@@ -94,12 +94,12 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
         return max(shape) * _EPS * top
     cut = 0.0
     if rtol is not None:
-        if rtol < 0:
-            raise ValueError("rtol must be nonnegative")
+        if not rtol >= 0:
+            raise ValueError(f"rtol must be nonnegative, got {rtol}")
         cut = max(cut, float(rtol) * top)
     if atol is not None:
-        if atol < 0:
-            raise ValueError("atol must be nonnegative")
+        if not atol >= 0:
+            raise ValueError(f"atol must be nonnegative, got {atol}")
         cut = max(cut, float(atol))
     return cut
 
@@ -109,8 +109,6 @@ def reduced_svd(
     *,
     rtol: float | None = None,
     atol: float | None = None,
-    method: str = "direct",
-    gram_tol: float | None = None,
 ) -> ReducedSvd:
     """Compact SVD truncated at the numerical rank.
 
@@ -119,13 +117,6 @@ def reduced_svd(
         rtol: relative cutoff (times sigma_1) replacing the default
             max(n, m) * eps * sigma_1.
         atol: absolute cutoff; with rtol, the larger of the two applies.
-        method: "direct" (LAPACK on x) or "gram" (method of snapshots:
-            eigendecompose x* x, useful when n >> m). The gram path
-            squares the conditioning, so small singular values are less
-            trustworthy; its cutoff ``gram_tol`` acts on the Gram
-            eigenvalue scale (sigma^2).
-        gram_tol: relative cutoff for the gram path, default
-            max(n, m) * eps.
 
     Raises:
         RankZeroError: every singular value fell below the cutoff.
@@ -134,59 +125,20 @@ def reduced_svd(
     n, m = xm.shape
     if n == 0 or m == 0:
         raise DimensionError("x must have at least one row and one column")
-
-    if method == "direct":
-        u, s, vh = np.linalg.svd(xm, full_matrices=False)
-        cut = _svd_threshold((n, m), s, rtol, atol)
-        r = int(np.sum(s > cut))
-        if r == 0:
-            raise RankZeroError(
-                "matrix has numerical rank zero at threshold {:.3e}".format(cut)
-            )
-        return ReducedSvd(
-            u=u[:, :r],
-            sigma=s[:r].astype(np.float64),
-            v=vh[:r, :].conj().T,
-            rank=r,
-            truncation_tol=cut,
+    u, s, vh = np.linalg.svd(xm, full_matrices=False)
+    cut = _svd_threshold((n, m), s, rtol, atol)
+    r = int(np.sum(s > cut))
+    if r == 0:
+        raise RankZeroError(
+            "matrix has numerical rank zero at threshold {:.3e}".format(cut)
         )
-
-    if method == "gram":
-        if rtol is not None or atol is not None:
-            raise ValueError("gram method uses gram_tol, not rtol/atol")
-        gram = xm.conj().T @ xm
-        evals, evecs = np.linalg.eigh(gram)
-        evals = evals[::-1]
-        evecs = evecs[:, ::-1]
-        rel = max(n, m) * _EPS if gram_tol is None else float(gram_tol)
-        top = float(evals[0]) if len(evals) else 0.0
-        cut_sq = rel * top
-        r = int(np.sum(evals > max(cut_sq, 0.0)))
-        if r == 0 or top <= 0.0:
-            raise RankZeroError(
-                "matrix has numerical rank zero on the Gram scale"
-            )
-        sigma = np.sqrt(evals[:r])
-        v = evecs[:, :r]
-        u = (xm @ v) / sigma
-        return ReducedSvd(
-            u=u,
-            sigma=sigma.astype(np.float64),
-            v=v,
-            rank=r,
-            truncation_tol=float(np.sqrt(cut_sq)) if cut_sq > 0 else 0.0,
-        )
-
-    raise ValueError(f"unknown svd method {method!r}")
-
-
-def orthonormal_basis(cols, *, rtol: float | None = None, atol: float | None = None) -> np.ndarray:
-    """Orthonormal basis for the column space of ``cols``.
-
-    Returned matrix has one column per numerical-rank dimension, using
-    the same cutoff policy as :func:`reduced_svd`.
-    """
-    return reduced_svd(cols, rtol=rtol, atol=atol).u
+    return ReducedSvd(
+        u=u[:, :r],
+        sigma=s[:r].astype(np.float64),
+        v=vh[:r, :].conj().T,
+        rank=r,
+        truncation_tol=cut,
+    )
 
 
 def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPairs:

@@ -1,10 +1,10 @@
 """Mode normalizations.
 
-Modes are defined up to a complex factor per column; these helpers fix
-that factor in one of three useful ways. Eigenvalues are never touched.
+Modes are defined up to a complex factor per column. Every
+decomposition already fixes that factor: its reduced vectors have unit
+norm and a fixed phase (the unit-norm convention). These helpers add
+the two other useful conventions; eigenvalues are never touched.
 
-* :func:`scale_unit_norm` - unit rank-space vectors, so projected modes
-  have norm one.
 * :func:`scale_biorthogonal` - adjoint modes rescaled against the
   modes, so the cross Gram matrix becomes the identity.
 * :func:`scale_amplitudes` - least-squares coefficients expanding a
@@ -21,50 +21,26 @@ from .dmd import DmdDecomposition
 from .errors import DimensionError
 from .pairs import SnapshotPairs
 
-__all__ = ["scale_unit_norm", "scale_biorthogonal", "scale_amplitudes"]
+__all__ = ["scale_biorthogonal", "scale_amplitudes"]
 
 _EPS = float(np.finfo(np.float64).eps)
 
-
-def _rescale(dec: DmdDecomposition, factors: np.ndarray, tag: str) -> DmdDecomposition:
-    """Multiply each mode column (all families, not adjoints) by a factor."""
-    f = factors[None, :]
-    return replace(
-        dec,
-        exact_modes=dec.exact_modes * f,
-        projected_modes=dec.projected_modes * f,
-        reduced_vectors=dec.reduced_vectors * f,
-        amplitudes=dec.amplitudes / factors if dec.amplitudes is not None else None,
-        scaling=tag,
-    )
+# Eigenvalues closer than this fraction of the largest magnitude have no
+# well-defined biorthogonal pairing.
+_GAP_TOL = 1e-9
 
 
-def scale_unit_norm(dec: DmdDecomposition) -> DmdDecomposition:
-    """Normalize every rank-space eigenvector w to unit 2-norm.
-
-    Projected modes u w then have unit norm as well; exact modes pick
-    up whatever norm the lift through y gives them. Stored amplitudes
-    are adjusted so any reconstruction they encode is unchanged.
-    Already-normalized decompositions pass through with only the tag
-    refreshed.
-    """
-    norms = np.linalg.norm(dec.reduced_vectors, axis=0)
-    factors = np.where(norms > 1e3 * _EPS, 1.0 / np.maximum(norms, _EPS), 1.0)
-    return _rescale(dec, factors.astype(np.complex128), "unit-norm")
-
-
-def scale_biorthogonal(dec: DmdDecomposition, *, gap_tol: float = 1e-9) -> DmdDecomposition:
+def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
     """Rescale adjoint modes so psi_k* phi_k = 1 for every mode k.
 
-    Modes keep unit rank-space vectors; only the adjoint family is
-    rescaled, which is enough because adjoints and modes of distinct
-    eigenvalues are automatically orthogonal. Refuses eigenvalue
-    clusters tighter than ``gap_tol`` times the largest magnitude,
-    where the pairing is not well defined.
+    Modes are left as they are; only the adjoint family is rescaled,
+    which is enough because adjoints and modes of distinct eigenvalues
+    are automatically orthogonal. Refuses eigenvalue clusters tighter
+    than ``_GAP_TOL`` (1e-9) times the largest magnitude, where the
+    pairing is not well defined.
     """
     if dec.adjoint_modes is None:
         raise ValueError("decomposition carries no adjoint modes")
-    dec = scale_unit_norm(dec)
     lam = dec.eigenvalues
     k = len(lam)
     if k == 0:
@@ -72,10 +48,10 @@ def scale_biorthogonal(dec: DmdDecomposition, *, gap_tol: float = 1e-9) -> DmdDe
     scale = max(float(np.max(np.abs(lam))), _EPS)
     for i in range(k):
         for j in range(i + 1, k):
-            if abs(lam[i] - lam[j]) <= gap_tol * scale:
+            if abs(lam[i] - lam[j]) <= _GAP_TOL * scale:
                 raise ValueError(
-                    "eigenvalues {} and {} coincide within gap_tol={:g}; "
-                    "biorthogonal pairing is ill-defined".format(lam[i], lam[j], gap_tol)
+                    "eigenvalues {} and {} coincide within {:g}; biorthogonal "
+                    "pairing is ill-defined".format(lam[i], lam[j], _GAP_TOL)
                 )
     phi = dec.modes
     gram_diag = np.einsum("ij,ij->j", dec.adjoint_modes.conj(), phi)
@@ -96,14 +72,13 @@ def scale_amplitudes(
     *,
     method: str = "qr",
     convention: str = "y0",
-    vector=None,
 ) -> DmdDecomposition:
     """Fit per-mode amplitudes to a reference snapshot.
 
     Convention "y0" solves phi_j lambda_j d_j summed = y_0 (the first
     image snapshot), so that propagating d from step 0 lands on the
     observed step 1; convention "x0" expands the first pre-image
-    instead. ``vector`` overrides the reference snapshot.
+    instead.
 
     Method "qr" solves the least-squares problem through an orthogonal
     factorization of the mode matrix. Method "gram" uses the normal
@@ -136,8 +111,6 @@ def scale_amplitudes(
         )
 
     target = pairs.y[:, 0] if convention == "y0" else pairs.x[:, 0]
-    if vector is not None:
-        target = np.asarray(vector, dtype=np.complex128).reshape(-1)
     if target.shape[0] != dec.exact_modes.shape[0]:
         raise DimensionError(
             f"reference snapshot has {target.shape[0]} entries, modes have "

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ class TestGenerateCommand:
                 "--f-fast", "1.1", "--f-slow", "0.2"]
         assert main(argv + ["--output", a]) == 0
         assert main(argv + ["--output", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestDmdCommand:
@@ -177,9 +178,24 @@ class TestDmdCommand:
         for d in (d1, d2):
             assert main(["dmd", "--input", src, "--output-dir", d]) == 0
         for name in ("eigenvalues.csv", "modes.csv", "report.txt"):
-            b1 = open(os.path.join(d1, name), "rb").read()
-            b2 = open(os.path.join(d2, name), "rb").read()
-            assert b1 == b2
+            assert Path(d1, name).read_bytes() == Path(d2, name).read_bytes()
+
+    def test_unit_norm_scaling_is_the_default(self, tmp_path):
+        src = self._generate(tmp_path)
+        plain = tmp_path / "plain"
+        unit = tmp_path / "unit"
+        assert main(["dmd", "--input", src, "--output-dir", str(plain)]) == 0
+        assert main(["dmd", "--input", src, "--output-dir", str(unit),
+                     "--scaling", "unit-norm"]) == 0
+        for name in ("eigenvalues.csv", "modes.csv", "report.txt"):
+            assert (plain / name).read_bytes() == (unit / name).read_bytes()
+
+    def test_scaling_none_is_a_usage_error(self, tmp_path):
+        src = self._generate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["dmd", "--input", src, "--output-dir", str(tmp_path / "out"),
+                  "--scaling", "none"])
+        assert exc.value.code == 2
 
     def test_algorithm_and_pairing_flags(self, tmp_path):
         src = self._generate(tmp_path)
@@ -337,6 +353,21 @@ class TestExitCodes:
         code = main([command, "--input", str(src), "--output-dir", str(tmp_path / "out")])
         assert code == 6
         assert "error[domain]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [
+        *[(c, f) for c in ("dmd", "check", "lim", "era") for f in ("--rank-rtol", "--rank-atol")],
+        ("dmd", "--zero-tol"),
+    ])
+    def test_nan_tolerance_is_a_domain_error(self, tmp_path, capsys, command, flag):
+        # A scalar impulse response every command accepts without the flag.
+        src = str(tmp_path / "z.csv")
+        write_real_matrix(src, 0.5 ** np.arange(8.0))
+        out = tmp_path / "out"
+        code = main([command, "--input", src, "--output-dir", str(out), flag, "nan"])
+        assert code == 6
+        assert "must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, "--input", src, "--output-dir", str(out), flag, "0"]) == 0
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dmdkit import (
-    adjoint_modes,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
@@ -395,17 +394,6 @@ class TestAdjoints:
         u = dec.svd_of_x.u
         psi = dec.adjoint_modes
         assert np.linalg.norm(psi - u @ (u.conj().T @ psi)) < 1e-10
-
-    def test_standalone_adjoint_function_matches(self):
-        rng = np.random.default_rng(37)
-        pairs = _random_pairs(rng, n=5, m=5)
-        op = reduced_operator(pairs)
-        psi = adjoint_modes(op)
-        dec = exact_dmd(pairs)
-        assert psi.shape == dec.adjoint_modes.shape
-        for k in range(psi.shape[1]):
-            inner = abs(np.vdot(psi[:, k], dec.adjoint_modes[:, k]))
-            assert inner > 1.0 - 1e-9
 
 
 def test_defective_operator_sets_warning():

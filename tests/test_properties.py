@@ -11,14 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import (
-    adjoint_modes,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
-    reduced_operator,
 )
 
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -109,11 +107,28 @@ def test_column_order_of_the_pairs_does_not_move_the_eigenvalues(pairs, random):
             assert _matched_gap(other, base) <= 1e-9, route.__name__
 
 
+@st.composite
+def sequences(draw):
+    """A single time series of any shape, tall or wide."""
+    n = draw(dims)
+    count = draw(st.integers(min_value=2, max_value=7))
+    return np.random.default_rng(draw(seeds)).standard_normal((n, count))
+
+
 @PROFILE
-@given(real_pairs())
-def test_adjoint_modes_are_the_normalized_exact_adjoints(pairs):
-    psi = exact_dmd(pairs).adjoint_modes
-    want = psi / np.linalg.norm(psi, axis=0, keepdims=True)
-    got = adjoint_modes(reduced_operator(pairs))
-    assert got.shape == want.shape
-    assert np.all(np.linalg.norm(got - want, axis=0) <= 1e-12)
+@given(sequences())
+def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z):
+    pairs = pairs_from_sequence(z)
+    a = pairs.y @ np.linalg.pinv(pairs.x)
+    bound = 1e-9 * np.linalg.norm(a)
+    for dec in (
+        exact_dmd(pairs),
+        projected_dmd(pairs),
+        exact_dmd_qr(pairs),
+        exact_dmd_sequential(z),
+    ):
+        assert dec.adjoint_modes.shape == dec.exact_modes.shape, dec.algorithm
+        for lam, psi in zip(dec.eigenvalues, dec.adjoint_modes.T):
+            psi = psi / np.linalg.norm(psi)
+            residual = np.linalg.norm(psi.conj() @ a - lam * psi.conj())
+            assert residual <= bound, dec.algorithm

@@ -12,40 +12,12 @@ from dmdkit import (
     pairs_from_sequence,
     scale_amplitudes,
     scale_biorthogonal,
-    scale_unit_norm,
 )
 
 
 def _linear_sequence(seed, n=5, steps=12, radius=0.9):
     mat, z = gen_random_linear(n, steps, seed, spectral_radius=radius)
     return mat, z
-
-
-class TestUnitNorm:
-    def test_all_families_share_the_factor(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((6, 5))
-        y = rng.standard_normal((6, 5))
-        dec = exact_dmd(pairs_from_arrays(x, y))
-        # perturb the scale, then restore it
-        skew = dataclasses.replace(
-            dec,
-            exact_modes=3.0 * dec.exact_modes,
-            projected_modes=3.0 * dec.projected_modes,
-            reduced_vectors=3.0 * dec.reduced_vectors,
-            scaling="none",
-        )
-        out = scale_unit_norm(skew)
-        assert out.scaling == "unit-norm"
-        # the reduced vectors set the normalization; the tripled copies land
-        # back exactly where the original unit-norm decomposition put them
-        assert np.allclose(np.linalg.norm(out.reduced_vectors, axis=0), 1.0, atol=1e-12)
-        assert np.allclose(out.reduced_vectors, dec.reduced_vectors, atol=1e-12)
-        assert np.allclose(out.exact_modes, dec.exact_modes, atol=1e-12)
-        assert np.allclose(out.projected_modes, dec.projected_modes, atol=1e-12)
-        # one shared factor per column keeps the families mutually consistent
-        u = out.svd_of_x.u
-        assert np.linalg.norm(out.projected_modes - u @ out.reduced_vectors) < 1e-10
 
 
 class TestBiorthogonal:
@@ -145,16 +117,6 @@ class TestAmplitudes:
             scale_amplitudes(dec, pairs, method="gram", convention="x0")
         out = scale_amplitudes(dec, pairs, method="qr", convention="x0")
         assert out.amplitudes is not None
-
-    def test_explicit_vector_overrides_default(self):
-        _, z = _linear_sequence(13, n=4, steps=10)
-        pairs = pairs_from_sequence(z)
-        target = z[:, 3]
-        dec = scale_amplitudes(
-            exact_dmd(pairs), pairs, method="qr", convention="x0", vector=target
-        )
-        lhs = dec.exact_modes @ dec.amplitudes
-        assert np.linalg.norm(lhs - target) < 1e-9 * np.linalg.norm(target)
 
 
 class TestConditioning:
