@@ -61,7 +61,7 @@ from .pairs import (
     pairs_from_trajectories,
     subtract_mean,
 )
-from .scaling import scale_amplitudes, scale_biorthogonal
+from .scaling import scale_amplitudes
 
 __all__ = ["main", "build_parser"]
 
@@ -202,14 +202,6 @@ def _decompose(config: argparse.Namespace, pairs, z):
     return exact_dmd_sequential(z, dt=config.dt, **kwargs)
 
 
-def _apply_scaling(config: argparse.Namespace, dec, pairs):
-    if config.scaling == "unit-norm":  # every decomposition already is
-        return dec
-    if config.scaling == "biorthogonal":
-        return scale_biorthogonal(dec)
-    return scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
-
-
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small matrix, descending |lambda| then ascending arg."""
     lam = eig_dense(mat).values
@@ -231,7 +223,8 @@ def _run_dmd(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     if config.algorithm == "sequential" and config.pairing != "sequential":
         raise ConfigError("--algorithm sequential needs --pairing sequential")
-    if config.scaling in ("amplitude-qr", "amplitude-gram") and config.pairing != "sequential":
+    amplitude = config.scaling != "unit-norm"  # every decomposition is unit-norm
+    if amplitude and config.pairing != "sequential":
         raise ConfigError("amplitude scaling needs --pairing sequential")
     arrays = _load_inputs(config)
     pairs, z = _build_pairs(config, arrays)
@@ -239,7 +232,8 @@ def _run_dmd(config: argparse.Namespace) -> None:
         pairs, rtol=config.rank_rtol, atol=config.rank_atol
     )
     dec = _decompose(config, pairs, z)
-    dec = _apply_scaling(config, dec, pairs)
+    if amplitude:
+        dec = scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
     points = spectrum(dec, dt=config.dt, m_weight=config.m_weight)
 
     columns = {
@@ -337,7 +331,7 @@ def _run_era(config: argparse.Namespace) -> None:
             f"Markov CSV has {raw.shape[0]} rows, expected q*p = {q * p} "
             "(one column-major vectorized block per column)"
         )
-    blocks = [raw[:, j].reshape((q, p), order="F") for j in range(raw.shape[1])]
+    blocks = raw.T.reshape(-1, p, q).transpose(0, 2, 1)  # column-major blocks
     seq = era_mod.markov_from_blocks(blocks, stride=stride)
     h, h_shift = era_mod.build_hankel(seq, m_c=config.mc, m_o=config.mo)
     real = era_mod.era_realize(
@@ -497,8 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dmd.add_argument("--algorithm", default="exact",
                        choices=["exact", "projected", "qr", "sequential"])
     p_dmd.add_argument("--scaling", default="unit-norm",
-                       choices=["unit-norm", "biorthogonal",
-                                "amplitude-qr", "amplitude-gram"])
+                       choices=["unit-norm", "amplitude-qr", "amplitude-gram"])
     p_dmd.add_argument("--zero-tol", type=float, default=None)
     p_dmd.add_argument("--include-zero-modes", action="store_true")
     p_dmd.add_argument("--m-weight", type=float, default=0.0,

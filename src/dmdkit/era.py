@@ -1,11 +1,13 @@
 """Eigensystem realization from Markov parameter sequences.
 
-A sequence of impulse-response blocks C A^k B is stacked into a block
-Hankel matrix and its one-step shift; a balanced state-space model of
-chosen order falls out of the Hankel SVD. The same (H, H') pair fed to
-the exact decomposition gives a similar operator, which is what
-:func:`era_dmd_similarity` verifies numerically. Real blocks give a
-real Hankel pair and a real realization; complex blocks stay complex.
+A sequence of impulse-response blocks C A^k B is sampled at strided
+anchors by :func:`~dmdkit.pairs.pairs_from_strided`, the rule strided
+snapshot pairs use, and stacked into a block Hankel matrix and its
+one-step shift; a balanced state-space model of chosen order falls out
+of the Hankel SVD. The same (H, H') pair fed to the exact decomposition
+gives a similar operator, which is what :func:`era_dmd_similarity`
+verifies numerically. Real blocks give a real Hankel pair and a real
+realization; complex blocks stay complex.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import scipy.optimize
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
-from .linalg import _working_dtype, eig_dense, reduced_svd
-from .pairs import pairs_from_arrays
+from .linalg import _as_matrix, _working_dtype, eig_dense, reduced_svd
+from .pairs import pairs_from_arrays, pairs_from_strided
 
 __all__ = [
     "MarkovSequence",
@@ -31,16 +33,6 @@ __all__ = [
     "era_dmd_similarity",
     "match_eigenvalues",
 ]
-
-
-def _as_block(value, q: int, p: int, name: str) -> np.ndarray:
-    block = np.atleast_2d(np.asarray(value))
-    block = block.astype(_working_dtype(block), copy=False)
-    if block.shape != (q, p):
-        raise DimensionError(f"{name} has shape {block.shape}, expected {(q, p)}")
-    if not np.all(np.isfinite(block)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return block
 
 
 @dataclass(frozen=True)
@@ -82,45 +74,40 @@ def markov_parameters(a, b, c, *, count: int, stride: int = 1) -> MarkovSequence
         raise ValueError("count must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    params = []
-    shifted = []
-    g = b  # holds a^(k*stride) @ b
-    for _ in range(count):
-        params.append(c @ g)
-        shifted.append(c @ (a @ g))
-        for _ in range(stride):
-            g = a @ g
-    return MarkovSequence(
-        params=tuple(params),
-        shifted=tuple(shifted),
-        q=c.shape[0],
-        p=b.shape[1],
-        stride=stride,
-    )
+    blocks = []
+    g = b  # holds a^j @ b
+    for _ in range((count - 1) * stride + 2):
+        blocks.append(c @ g)
+        g = a @ g
+    return markov_from_blocks(blocks, stride=stride, count=count)
 
 
 def markov_from_blocks(blocks, *, stride: int = 1, count: int | None = None) -> MarkovSequence:
     """Subsample a fine impulse-response list into a Markov sequence.
 
-    ``blocks[j]`` is C A^j B (scalars are accepted for q = p = 1).
-    Entry k of the result takes blocks[k*stride] and blocks[k*stride+1].
+    ``blocks[j]`` is C A^j B: a (q, p) matrix, a length-p vector when
+    q = 1, or a scalar when q = p = 1; a (count, q, p) array also works.
+    Entry k of the result takes blocks[k*stride] and blocks[k*stride+1],
+    the anchors :func:`~dmdkit.pairs.pairs_from_strided` picks from the
+    vectorized blocks, so ``count`` and ``stride`` obey its rules.
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    raw = list(blocks)
-    if len(raw) < 2:
-        raise DimensionError("need at least 2 impulse-response blocks")
-    q, p = np.atleast_2d(np.asarray(raw[0])).shape
-    seq = [_as_block(v, q, p, f"block {j}") for j, v in enumerate(raw)]
-    max_count = (len(seq) - 2) // stride + 1
-    m = max_count if count is None else int(count)
-    if m < 1 or m > max_count:
-        raise DimensionError(
-            f"count {m} outside 1..{max_count} for {len(seq)} blocks at stride {stride}"
-        )
-    params = tuple(seq[k * stride] for k in range(m))
-    shifted = tuple(seq[k * stride + 1] for k in range(m))
-    return MarkovSequence(params=params, shifted=shifted, q=q, p=p, stride=stride)
+    try:
+        stack = np.asarray(blocks)
+    except ValueError as exc:
+        raise DimensionError("impulse-response blocks differ in shape") from exc
+    if not 1 <= stack.ndim <= 3:
+        raise DimensionError(f"impulse-response blocks have shape {stack.shape}")
+    while stack.ndim < 3:  # scalars are 1x1 blocks, vectors 1xp
+        stack = stack[:, None]
+    total, q, p = stack.shape
+    pairs = pairs_from_strided(stack.reshape(total, q * p).T, stride, count=count)
+    return MarkovSequence(
+        params=tuple(pairs.x.T.reshape(-1, q, p)),
+        shifted=tuple(pairs.y.T.reshape(-1, q, p)),
+        q=q,
+        p=p,
+        stride=stride,
+    )
 
 
 def build_hankel(
@@ -150,14 +137,13 @@ def build_hankel(
         raise DimensionError(
             f"m_c + m_o must equal len(params) - 1 = {m - 1}, got {m_c} + {m_o}"
         )
-    q, p = seq.q, seq.p
     dtype = _working_dtype(*seq.params, *seq.shifted)
-    h = np.empty(((m_o + 1) * q, (m_c + 1) * p), dtype=dtype)
-    h_shift = np.empty_like(h)
-    for i in range(m_o + 1):
-        for j in range(m_c + 1):
-            h[i * q : (i + 1) * q, j * p : (j + 1) * p] = seq.params[i + j]
-            h_shift[i * q : (i + 1) * q, j * p : (j + 1) * p] = seq.shifted[i + j]
+    index = np.add.outer(np.arange(m_o + 1), np.arange(m_c + 1))
+    shape = ((m_o + 1) * seq.q, (m_c + 1) * seq.p)
+    h, h_shift = (
+        np.asarray(blocks, dtype=dtype)[index].swapaxes(1, 2).reshape(shape)
+        for blocks in (seq.params, seq.shifted)
+    )
     return h, h_shift
 
 
@@ -174,6 +160,16 @@ class EraRealization:
     d_r: np.ndarray
     order: int
     singular_values: np.ndarray
+
+
+def _hankel_pair(h, h_shift) -> tuple[np.ndarray, np.ndarray]:
+    """Validate (H, H') as finite matrices of one shape and one dtype."""
+    h = _as_matrix(h, "H")
+    hs = _as_matrix(h_shift, "H'")
+    if h.shape != hs.shape:
+        raise DimensionError(f"H and H' shapes differ: {h.shape} vs {hs.shape}")
+    dtype = _working_dtype(h, hs)
+    return h.astype(dtype, copy=False), hs.astype(dtype, copy=False)
 
 
 def era_realize(
@@ -194,15 +190,17 @@ def era_realize(
     U sqrt(S); the feedthrough passes through unchanged (zero block
     when not supplied, since the Markov sequence starts at C B).
     """
-    dtype = _working_dtype(h, h_shift)
-    h = np.asarray(h, dtype=dtype)
-    hs = np.asarray(h_shift, dtype=dtype)
-    if h.shape != hs.shape:
-        raise DimensionError(f"H and H' shapes differ: {h.shape} vs {hs.shape}")
+    h, hs = _hankel_pair(h, h_shift)
     if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
+    if d is None:
+        d_r = np.zeros((q, p), dtype=h.dtype)
+    else:
+        d_r = _as_matrix(np.atleast_2d(d), "d")
+        if d_r.shape != (q, p):
+            raise DimensionError(f"d has shape {d_r.shape}, expected {(q, p)}")
     svd = reduced_svd(h, rtol=rtol, atol=atol)
     r = svd.rank if order is None else int(order)
     if r < 1 or r > svd.rank:
@@ -213,7 +211,6 @@ def era_realize(
     a_r = (u.conj().T @ hs @ v) / np.outer(root, root)
     b_r = (root[:, None] * v.conj().T)[:, :p]
     c_r = (u * root[None, :])[:q, :]
-    d_r = np.zeros((q, p), dtype=dtype) if d is None else _as_block(d, q, p, "d")
     return EraRealization(
         a_r=a_r, b_r=b_r, c_r=c_r, d_r=d_r, order=r, singular_values=svd.sigma.copy()
     )
@@ -263,9 +260,7 @@ def era_dmd_similarity(
     similarity transform of the reduced operator, so the spectra must
     coincide and eigenvectors must map through sqrt(S).
     """
-    dtype = _working_dtype(h, h_shift)
-    h = np.asarray(h, dtype=dtype)
-    hs = np.asarray(h_shift, dtype=dtype)
+    h, hs = _hankel_pair(h, h_shift)
     pair = pairs_from_arrays(h, hs)
     op = reduced_operator(pair, rtol=rtol, atol=atol)
     real = era_realize(h, hs, None, 1, 1, rtol=rtol, atol=atol)

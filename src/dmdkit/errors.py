@@ -6,6 +6,15 @@ used for one-off argument refusals (negative variance, repeated
 eigenvalues, and so on) where no cross-cutting category exists.
 """
 
+__all__ = [
+    "DmdkitError",
+    "RankZeroError",
+    "DimensionError",
+    "EigensolverError",
+    "ParseError",
+    "ConfigError",
+]
+
 
 class DmdkitError(Exception):
     """Base class for errors raised by dmdkit."""

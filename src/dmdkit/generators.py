@@ -20,6 +20,7 @@ __all__ = [
 
 
 def _unit_steps(steps: int) -> np.ndarray:
+    """Step indices 0..steps-1; every generator refuses fewer than 2 steps."""
     if steps < 2:
         raise ValueError("steps must be >= 2 (need at least one pair)")
     return np.arange(steps, dtype=np.float64)
@@ -42,8 +43,7 @@ def gen_ar1(lam: float, sigma2: float, steps: int, seed: int, *, z0: float = 0.0
     """
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
-    if steps < 2:
-        raise ValueError("steps must be >= 2 (need at least one pair)")
+    _unit_steps(steps)
     rng = np.random.default_rng(seed)
     noise = np.sqrt(sigma2) * rng.standard_normal(steps - 1)
     z = np.empty(steps, dtype=np.float64)
@@ -93,8 +93,7 @@ def gen_random_linear(
         raise ValueError("n must be >= 1")
     if not spectral_radius > 0:
         raise ValueError("spectral_radius must be positive")
-    if steps < 2:
-        raise ValueError("steps must be >= 2 (need at least one pair)")
+    _unit_steps(steps)
     rng = np.random.default_rng(seed)
     mat = rng.standard_normal((n, n))
     radius = float(np.max(np.abs(np.linalg.eigvals(mat))))

@@ -4,7 +4,8 @@ All decompositions consume a :class:`SnapshotPairs`: two equal-shaped
 matrices x and y whose k-th columns are related by one application of
 the (unknown) map under study. The constructors here cover the usual
 ways such pairs arise: a single time series, a strided subsample of a
-finer series, several independent runs, or pre-matched matrices.
+finer series, several independent runs, or pre-matched matrices. The
+strided rule also picks the Markov blocks of :mod:`dmdkit.era`.
 
 Columns are snapshots everywhere in this package.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _working_dtype
+from .linalg import _as_matrix
 
 __all__ = [
     "SnapshotPairs",
@@ -48,14 +49,10 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
             mat = np.column_stack([np.atleast_1d(np.asarray(c)) for c in z])
         except ValueError as exc:
             raise DimensionError(f"{name}: snapshots have inconsistent lengths") from exc
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise DimensionError(f"{name} must form a 2-D matrix, got shape {mat.shape}")
+    mat = _as_matrix(mat, name)
     if mat.size == 0:
         raise DimensionError(f"{name} is empty")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(mat, dtype=_working_dtype(mat))
+    return mat
 
 
 @dataclass(frozen=True)

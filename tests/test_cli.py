@@ -197,6 +197,14 @@ class TestDmdCommand:
                   "--scaling", "none"])
         assert exc.value.code == 2
 
+    def test_scaling_biorthogonal_is_a_usage_error(self, tmp_path):
+        # It rescaled only the adjoint modes, which dmd never writes.
+        src = self._generate(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["dmd", "--input", src, "--output-dir", str(tmp_path / "out"),
+                  "--scaling", "biorthogonal"])
+        assert exc.value.code == 2
+
     def test_algorithm_and_pairing_flags(self, tmp_path):
         src = self._generate(tmp_path)
         outdir = str(tmp_path / "seq")

@@ -57,6 +57,20 @@ class TestMarkovParameters:
         assert [b[0, 0] for b in seq.params] == [0.0, 2.0, 4.0, 6.0]
         assert [b[0, 0] for b in seq.shifted] == [1.0, 3.0, 5.0, 7.0]
 
+    def test_vector_blocks_are_single_rows(self):
+        seq = markov_from_blocks([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert (seq.q, seq.p) == (1, 2)
+        assert np.array_equal(seq.shifted[1], [[5.0, 6.0]])
+
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((2, 2)), np.ones((2, 3))],
+        [np.ones((1, 2)), 1.0, 1.0],
+        np.ones((3, 2, 2, 2)),
+    ])
+    def test_blocks_of_mixed_shapes_are_refused(self, blocks):
+        with pytest.raises(DimensionError):
+            markov_from_blocks(blocks)
+
 
 class TestHankel:
     def test_scalar_geometric_sequence(self):
@@ -121,6 +135,15 @@ class TestRealization:
         h_shift = np.array([[0.5, 0.25], [0.25, 0.125]])
         real = era_realize(h, h_shift, 1, 1, 1, d=np.array([[2.5]]))
         assert real.d_r[0, 0] == 2.5
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["h_shift", "d"])
+    def test_non_finite_input_is_refused(self, where, value):
+        h = np.array([[1.0, 0.5], [0.5, 0.25]])
+        inputs = {"h_shift": 0.5 * h, "d": np.zeros((1, 1))}
+        inputs[where][0, -1] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            era_realize(h, inputs["h_shift"], 1, 1, 1, d=inputs["d"])
 
     def test_order_bounds(self):
         h = np.array([[1.0, 0.5], [0.5, 0.25]])

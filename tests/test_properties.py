@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import (
+    build_hankel,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
+    markov_from_blocks,
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
@@ -132,3 +134,52 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z):
             psi = psi / np.linalg.norm(psi)
             residual = np.linalg.norm(psi.conj() @ a - lam * psi.conj())
             assert residual <= bound, dec.algorithm
+
+
+@st.composite
+def impulse_responses(draw):
+    """Real or complex (q, p) blocks, 1 <= q, p <= 3, with a stride of 1 to 3."""
+    q, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    total = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(seeds))
+    blocks = rng.standard_normal((total, q, p))
+    if draw(st.booleans()):
+        blocks = blocks + 1j * rng.standard_normal((total, q, p))
+    return blocks, draw(st.integers(1, 3))
+
+
+@PROFILE
+@given(impulse_responses(), st.booleans())
+def test_markov_sequence_takes_the_strided_anchor_blocks(case, as_list):
+    blocks, stride = case
+    seq = markov_from_blocks(list(blocks) if as_list else blocks, stride=stride)
+    anchors = range(0, len(blocks) - 1, stride)
+    assert len(seq.params) == len(seq.shifted) == len(anchors)
+    for k, j in enumerate(anchors):
+        for got, want in ((seq.params[k], blocks[j]), (seq.shifted[k], blocks[j + 1])):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def _hankel_by_block_loop(blocks, m_c, m_o):
+    q, p = blocks[0].shape
+    out = np.empty(((m_o + 1) * q, (m_c + 1) * p), dtype=blocks[0].dtype)
+    for i in range(m_o + 1):
+        for j in range(m_c + 1):
+            out[i * q : (i + 1) * q, j * p : (j + 1) * p] = blocks[i + j]
+    return out
+
+
+@PROFILE
+@given(impulse_responses())
+def test_hankel_pair_matches_a_block_loop_for_every_split(case):
+    blocks, stride = case
+    seq = markov_from_blocks(blocks, stride=stride)
+    m = len(seq.params)
+    for m_o in range(m):
+        m_c = m - 1 - m_o
+        h, h_shift = build_hankel(seq, m_c=m_c, m_o=m_o)
+        for got, source in ((h, seq.params), (h_shift, seq.shifted)):
+            want = _hankel_by_block_loop(source, m_c, m_o)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
