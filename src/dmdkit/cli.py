@@ -54,7 +54,7 @@ from .errors import (
 )
 from .linalg import eig_dense
 from .pairs import (
-    embed_sequence,
+    delay_embed,
     pairs_from_arrays,
     pairs_from_sequence,
     pairs_from_strided,
@@ -114,8 +114,8 @@ def write_real_matrix(path: str, mat: np.ndarray, header: list[str] | None = Non
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(mat):
-            fh.write(",".join(_fmt(v) for v in row.real) + "\n")
+        for row in np.atleast_2d(mat).tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def write_complex_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
@@ -163,30 +163,21 @@ def _validate_pairing_flags(config: argparse.Namespace) -> None:
 
 
 def _build_pairs(config: argparse.Namespace, arrays: list[np.ndarray]):
-    """Returns (pairs, sequence-or-None) after delay embedding and centering."""
+    """The snapshot pairs after delay embedding and centering."""
     if config.pairing == "sequential":
-        z = arrays[0]
-        if config.delay > 1:
-            z = embed_sequence(z, config.delay)
-        pairs = pairs_from_sequence(z, dt=config.dt)
+        pairs = delay_embed(pairs_from_sequence(arrays[0], dt=config.dt), config.delay)
     elif config.pairing == "strided":
         pairs = pairs_from_strided(arrays[0], config.stride, dt=config.dt)
-        z = None
     elif config.pairing == "paired":
         pairs = pairs_from_arrays(arrays[0], arrays[1], dt=config.dt)
-        z = None
     else:
         pairs = pairs_from_trajectories(arrays, dt=config.dt)
-        z = None
-    if config.mean != "none":
-        mode = "x-mean" if config.mean == "x" else "pooled-mean"
-        pairs, _ = subtract_mean(pairs, mode)
-        if z is not None:
-            z = np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
-    return pairs, z
+    if config.mean == "none":
+        return pairs
+    return subtract_mean(pairs, "x-mean" if config.mean == "x" else "pooled-mean")[0]
 
 
-def _decompose(config: argparse.Namespace, pairs, z):
+def _decompose(config: argparse.Namespace, pairs):
     kwargs = dict(
         rtol=config.rank_rtol,
         atol=config.rank_atol,
@@ -199,6 +190,7 @@ def _decompose(config: argparse.Namespace, pairs, z):
         return projected_dmd(pairs, **kwargs)
     if config.algorithm == "qr":
         return exact_dmd_qr(pairs, **kwargs)
+    z = np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
     return exact_dmd_sequential(z, dt=config.dt, **kwargs)
 
 
@@ -227,11 +219,11 @@ def _run_dmd(config: argparse.Namespace) -> None:
     if amplitude and config.pairing != "sequential":
         raise ConfigError("amplitude scaling needs --pairing sequential")
     arrays = _load_inputs(config)
-    pairs, z = _build_pairs(config, arrays)
+    pairs = _build_pairs(config, arrays)
     consistency = linear_consistency(
         pairs, rtol=config.rank_rtol, atol=config.rank_atol
     )
-    dec = _decompose(config, pairs, z)
+    dec = _decompose(config, pairs)
     if amplitude:
         dec = scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
     points = spectrum(dec, dt=config.dt, m_weight=config.m_weight)
@@ -287,7 +279,7 @@ def _run_dmd(config: argparse.Namespace) -> None:
 def _run_check(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     arrays = _load_inputs(config)
-    pairs, _ = _build_pairs(config, arrays)
+    pairs = _build_pairs(config, arrays)
     report = linear_consistency(pairs, rtol=config.rank_rtol, atol=config.rank_atol)
     lines = [
         "command: check",
@@ -369,7 +361,7 @@ def _run_era(config: argparse.Namespace) -> None:
 def _run_lim(config: argparse.Namespace) -> None:
     _validate_pairing_flags(config)
     arrays = _load_inputs(config)
-    pairs, _ = _build_pairs(config, arrays)
+    pairs = _build_pairs(config, arrays)
     model = lim_mod.lim_model(
         pairs, force=config.force, rtol=config.rank_rtol, atol=config.rank_atol
     )

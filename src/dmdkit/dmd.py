@@ -13,11 +13,11 @@ Four routes to the same eigenvalues:
   adds, so exact modes cost one extra basis vector.
 
 All four are one computation, :func:`_decompose`: build a small
-compression of A, eigendecompose it once, drop the zero modes, lift the
-eigenvectors, fix each mode's scale and phase, and order the modes.
-The routes only choose the compression basis (u, or q of [x y] for QR)
-and how the exact modes are lifted, which keeps the four-way agreement
-a real check.
+compression of A, eigendecompose it once, drop the zero modes, fix each
+mode's scale, phase and order on the small eigenvectors, and lift the
+exact modes. The routes only choose the compression basis (u, or q of
+[x y] for QR) and how the exact modes are lifted, which keeps the
+four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. Real snapshots stay real up to the small
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import ReducedSvd, eig_dense, reduced_svd
+from .linalg import ReducedSvd, _unit_scale, eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -96,11 +96,14 @@ def reduced_operator(
 class DmdDecomposition:
     """Eigenvalues and mode families from one decomposition run.
 
-    Mode columns are index-paired across all arrays. ``exact_modes``
-    are eigenvectors of A; ``projected_modes`` their projections onto
-    range(x) (for the projected algorithm these are the native output);
-    ``adjoint_modes`` satisfy psi* A = lambda psi*. ``reduced_vectors``
-    hold the rank-space eigenvectors w with u* phi = w.
+    Mode columns are index-paired across all arrays. Stored are
+    ``exact_modes``, eigenvectors of A; ``reduced_vectors``, the
+    rank-space eigenvectors w with u* phi = w (lambda != 0); and
+    ``left_vectors``, the small left eigenvectors in the coordinates of
+    ``left_basis`` (u, or q for QR). Lifted from these on every read, so
+    bind them to a name before a loop: ``projected_modes`` = u w, the
+    exact modes projected onto range(x) (the projected algorithm's own
+    modes), and ``adjoint_modes``, which satisfy psi* A = lambda psi*.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -118,15 +121,25 @@ class DmdDecomposition:
 
     eigenvalues: np.ndarray
     exact_modes: np.ndarray
-    projected_modes: np.ndarray
     reduced_vectors: np.ndarray
-    adjoint_modes: np.ndarray | None
+    left_vectors: np.ndarray
+    left_basis: np.ndarray
     algorithm: str
     scaling: str
     svd_of_x: ReducedSvd
     amplitudes: np.ndarray | None = None
     amplitude_residual: float | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def projected_modes(self) -> np.ndarray:
+        """u w for each reduced vector w, lifted on each read."""
+        return _lift(self.svd_of_x.u, self.reduced_vectors)
+
+    @property
+    def adjoint_modes(self) -> np.ndarray:
+        """left_basis @ left_vectors, lifted on each read."""
+        return _lift(self.left_basis, self.left_vectors)
 
     @property
     def modes(self) -> np.ndarray:
@@ -253,20 +266,20 @@ def _decompose(
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
 ) -> DmdDecomposition:
-    """The one decomposition every route runs: eig, zero cut, lift, scale, order.
+    """The one decomposition every route runs: eig, zero cut, scale, order.
 
     The small matrix is A compressed onto ``basis`` (the QR route's
     orthonormal basis of [x y]) or, by default, onto u, which is
     a_tilde itself. Zero modes are dropped before anything is lifted.
-    How the exact modes are lifted is the one thing the routes differ
-    in:
+    Scale and order are fixed on the small vectors. How the exact
+    modes are lifted is the one thing the routes differ in:
 
     * qr: q v, already an eigenvector of A;
     * exact, projected: (y v / sigma) w / lambda;
     * sequential: u w plus the part of b w along the Gram-Schmidt
       ``direction`` the last snapshot adds, divided by lambda; without
       a direction (the last snapshot lies in range(x)) the exact modes
-      are the projected ones.
+      are the projected ones, u w.
 
     Null-space modes of the lambda-divided lifts come from
     :func:`_exact_zero_mode`, which needs the images ``y``.
@@ -285,11 +298,10 @@ def _decompose(
 
     vectors = eig.vectors[:, kept]
     reduced = vectors if basis is None else _lift(uq, vectors)  # u* exact
-    projected = _lift(u, reduced)
     if algorithm == "qr":
         exact = _lift(basis, vectors)
     elif algorithm == "sequential" and direction is None:
-        exact = projected
+        exact = None  # u w, lifted once the reduced vectors are final
     else:
         zero = np.abs(lam) <= cut  # never set unless include_zero_modes
         lam_or_one = np.where(zero, 1.0, lam)
@@ -298,23 +310,23 @@ def _decompose(
         else:
             # b w itself is never formed, only its part along direction.
             along = _lift((direction.conj() @ op.b)[None, :], vectors)[0]
-            exact = projected + np.outer(direction, along / lam_or_one)
+            exact = _lift(u, vectors) + np.outer(direction, along / lam_or_one)
         for j in np.flatnonzero(zero):
             exact[:, j] = _exact_zero_mode(op, vectors[:, j], y)
 
     scale = _column_scale(reduced)
-    own = projected if algorithm == "projected" else exact
+    # Modes u w have the norms of w, since u has orthonormal columns.
+    own = reduced if exact is None or algorithm == "projected" else exact
     order = _canonical_order(lam, np.linalg.norm(own, axis=0) * np.abs(scale))
     scale = scale[order]
-    exact, projected, reduced = (np.take(f, order, axis=1) for f in (exact, projected, reduced))
-    for family in (exact, projected, reduced):
-        family *= scale
+    reduced = np.take(reduced, order, axis=1) * scale
+    exact = _lift(u, reduced) if exact is None else np.take(exact, order, axis=1) * scale
     return DmdDecomposition(
         eigenvalues=lam[order],
         exact_modes=exact,
-        projected_modes=projected,
         reduced_vectors=reduced,
-        adjoint_modes=_lift(u if basis is None else basis, eig.left_vectors[:, kept[order]]),
+        left_vectors=eig.left_vectors[:, kept[order]],
+        left_basis=u if basis is None else basis,
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=op.svd_of_x,
@@ -450,11 +462,13 @@ def linear_consistency(
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     v = op.svd_of_x.v
     y = pairs.y
-    y_norm = float(np.linalg.norm(y))
-    if y_norm == 0.0:
+    if not y.any():
         return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op.svd_of_x.rank)
-    defect = float(np.linalg.norm(y - (y @ v) @ v.conj().T)) / y_norm
-    residual = float(np.linalg.norm(op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y)) / y_norm
+    unit = _unit_scale(y)  # exact rescale: squared entries stay in range
+    y_norm = float(np.linalg.norm(y * unit))
+    defect = float(np.linalg.norm((y - (y @ v) @ v.conj().T) * unit)) / y_norm
+    misfit = op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y
+    residual = float(np.linalg.norm(misfit * unit)) / y_norm
     return ConsistencyReport(
         consistent=defect <= _CONSISTENCY_TOL,
         defect=defect,
@@ -480,14 +494,15 @@ def reconstruct(dec: DmdDecomposition, x) -> Reconstruction:
     span end up in the residual, never hidden.
     """
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
-    if vec.shape[0] != dec.modes.shape[0]:
+    modes = dec.modes
+    if vec.shape[0] != modes.shape[0]:
         raise DimensionError(
-            f"state has {vec.shape[0]} entries, modes have {dec.modes.shape[0]}"
+            f"state has {vec.shape[0]} entries, modes have {modes.shape[0]}"
         )
     if dec.n_modes == 0:
         return Reconstruction(np.zeros(0, dtype=np.complex128), float(np.linalg.norm(vec)))
-    c, _, _, _ = np.linalg.lstsq(dec.modes, vec, rcond=None)
-    residual = float(np.linalg.norm(dec.modes @ c - vec))
+    c, _, _, _ = np.linalg.lstsq(modes, vec, rcond=None)
+    residual = float(np.linalg.norm(modes @ c - vec))
     return Reconstruction(coefficients=c, residual=residual)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmd import reduced_operator
+from .linalg import _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = [
@@ -34,14 +35,15 @@ _MEAN_TOL = 1e-10
 def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
     if force:
         return
-    mean = pairs.x.mean(axis=1)
-    scale = float(np.linalg.norm(pairs.x))
+    unit = _unit_scale(pairs.x)  # exact rescale: squared entries stay in range
+    mean = pairs.x.mean(axis=1) * unit
+    scale = float(np.linalg.norm(pairs.x * unit))
     if scale > 0 and float(np.linalg.norm(mean)) > _MEAN_TOL * scale:
         raise ValueError(
             "snapshots are not mean-subtracted (column-mean norm {:.2e} vs "
             "data norm {:.2e}); center them with subtract_mean, or pass "
             "force=True for data that is zero-mean by construction".format(
-                float(np.linalg.norm(mean)), scale
+                float(np.linalg.norm(mean)) / unit, scale / unit
             )
         )
 
@@ -83,7 +85,8 @@ def lim_model(
     x_hat = u.conj().T @ pairs.x
     y_hat = u.conj().T @ pairs.y
     m = pairs.n_pairs
-    green = (y_hat @ x_hat.conj().T) / svd.sigma[None, :] ** 2
+    unit = _unit_scale(svd.sigma)  # exact rescale: squared entries stay in range
+    green = ((unit * y_hat) @ (unit * x_hat).conj().T) / (unit * svd.sigma[None, :]) ** 2
     return LimModel(
         eofs=u,
         x_hat=x_hat,

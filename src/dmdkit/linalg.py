@@ -46,6 +46,14 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=_working_dtype(arr))
 
 
+def _unit_scale(a: np.ndarray) -> float:
+    """Power of two taking the largest magnitude in ``a`` into [0.5, 1).
+
+    Scaling by it is exact, so ratios of norms of scaled data keep every bit.
+    """
+    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]))
+
+
 @dataclass(frozen=True)
 class ReducedSvd:
     """Rank-truncated SVD ``x ~= u @ diag(sigma) @ v.conj().T``.

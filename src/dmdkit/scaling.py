@@ -34,13 +34,11 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
     """Rescale adjoint modes so psi_k* phi_k = 1 for every mode k.
 
     Modes are left as they are; only the adjoint family is rescaled,
-    which is enough because adjoints and modes of distinct eigenvalues
-    are automatically orthogonal. Refuses eigenvalue clusters tighter
-    than ``_GAP_TOL`` (1e-9) times the largest magnitude, where the
-    pairing is not well defined.
+    through its small left vectors, which is enough because adjoints and
+    modes of distinct eigenvalues are automatically orthogonal. Refuses
+    eigenvalue clusters tighter than ``_GAP_TOL`` (1e-9) times the
+    largest magnitude, where the pairing is not well defined.
     """
-    if dec.adjoint_modes is None:
-        raise ValueError("decomposition carries no adjoint modes")
     lam = dec.eigenvalues
     k = len(lam)
     if k == 0:
@@ -62,8 +60,8 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
             "mode {} is numerically orthogonal to its adjoint; the pair "
             "cannot be normalized".format(int(np.argmax(bad)))
         )
-    adjoint = dec.adjoint_modes / gram_diag.conj()[None, :]
-    return replace(dec, adjoint_modes=adjoint, scaling="biorthogonal")
+    left = dec.left_vectors / gram_diag.conj()[None, :]
+    return replace(dec, left_vectors=left, scaling="biorthogonal")
 
 
 def scale_amplitudes(

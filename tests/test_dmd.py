@@ -309,6 +309,21 @@ class TestConsistency:
         pairs = pairs_from_arrays(np.eye(3), np.eye(3))
         assert linear_consistency(pairs).rank == 3
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_verdict_survives_tiny_and_huge_data(self, scale):
+        # Squaring 1e-170 underflows and squaring 1e155 overflows; a
+        # plain Frobenius norm read these as consistent and as nan.
+        z = np.random.default_rng(0).standard_normal((6, 12))
+        want = linear_consistency(pairs_from_sequence(z))
+        rep = linear_consistency(pairs_from_sequence(z * scale))
+        assert not want.consistent and not rep.consistent
+        assert abs(rep.defect - want.defect) < 1e-12
+        assert abs(rep.residual - want.residual) < 1e-12
+
+    def test_all_zero_images_are_consistent(self):
+        rep = linear_consistency(pairs_from_arrays(np.eye(3), np.zeros((3, 3))))
+        assert rep.consistent and rep.defect == 0.0 and rep.residual == 0.0
+
 
 class TestModeExpansion:
     def test_reconstruct_then_propagate_reproduces_trajectory(self):

@@ -44,6 +44,12 @@ class TestCenteringGuard:
         model = lim_model(pairs)
         assert model.eofs.shape[0] == 4
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_uncentered_snapshots_refused_at_any_scale(self, scale):
+        z = np.abs(np.random.default_rng(0).standard_normal((3, 15))) + 1.0
+        with pytest.raises(ValueError, match="subtract_mean"):
+            lim_model(pairs_from_sequence(z * scale))
+
     def test_subtract_mean_output_passes(self):
         rng = np.random.default_rng(3)
         pairs = pairs_from_sequence(rng.standard_normal((3, 18)) + 7.0)
@@ -93,6 +99,16 @@ class TestEquivalence:
             assert rep.max_abs_diff <= rep.tol
             op = reduced_operator(pairs)
             assert np.abs(rep.green - op.a_tilde).max() < 1e-12 * np.linalg.norm(op.a_tilde)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e150])
+    def test_propagator_does_not_depend_on_data_scale(self, scale):
+        # sigma**2 underflows at 1e-170, which turned the propagator into nan.
+        pairs, _ = _centered_pairs(60)
+        want = lim_model(pairs).green
+        scaled = pairs_from_arrays(pairs.x * scale, pairs.y * scale)
+        rep = lim_dmd_equivalence(scaled)
+        assert rep.equivalent
+        assert np.abs(rep.green - want).max() < 1e-12 * np.abs(want).max()
 
     def test_propagator_spectrum_matches_decomposition(self):
         pairs, _ = _centered_pairs(8)

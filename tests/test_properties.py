@@ -15,6 +15,7 @@ from dmdkit import (
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
+    linear_consistency,
     markov_from_blocks,
     pairs_from_arrays,
     pairs_from_sequence,
@@ -109,31 +110,68 @@ def test_column_order_of_the_pairs_does_not_move_the_eigenvalues(pairs, random):
             assert _matched_gap(other, base) <= 1e-9, route.__name__
 
 
+@PROFILE
+@given(real_pairs(), st.integers(min_value=-150, max_value=150))
+def test_consistency_verdict_ignores_the_data_scale(pairs, exponent):
+    scale = 10.0**exponent
+    base = linear_consistency(pairs)
+    scaled = linear_consistency(pairs_from_arrays(pairs.x * scale, pairs.y * scale))
+    assert scaled.consistent == base.consistent
+    assert abs(scaled.defect - base.defect) <= 1e-12
+
+
 @st.composite
 def sequences(draw):
-    """A single time series of any shape, tall or wide."""
+    """A single time series of any shape, tall or wide. Half of them
+    follow a normal map with one zero eigenvalue, so that wide ones
+    carry a null-space mode."""
     n = draw(dims)
     count = draw(st.integers(min_value=2, max_value=7))
-    return np.random.default_rng(draw(seeds)).standard_normal((n, count))
+    rng = np.random.default_rng(draw(seeds))
+    if not draw(st.booleans()):
+        return rng.standard_normal((n, count))
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.3, 1.0, n) * rng.choice([-1.0, 1.0], n)
+    lam[0] = 0.0
+    z = np.empty((n, count))
+    z[:, 0] = rng.standard_normal(n)
+    for k in range(count - 1):
+        z[:, k + 1] = q @ (lam * (q.T @ z[:, k]))
+    return z
 
 
 @PROFILE
-@given(sequences())
-def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z):
+@given(sequences(), st.booleans())
+def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_zero):
+    """Both derived families on every route, with and without null-space
+    modes: the adjoint modes are left eigenvectors of A = y x^+, and the
+    projected modes are u u* of the exact ones.
+
+    The projection identity u* phi = w needs phi = b w / lambda, so it is
+    checked only where dividing by lambda loses no more than roundoff. A
+    null-space mode built from the image has u* phi = 0 instead.
+    """
     pairs = pairs_from_sequence(z)
     a = pairs.y @ np.linalg.pinv(pairs.x)
-    bound = 1e-9 * np.linalg.norm(a)
+    a_norm = np.linalg.norm(a)
+    bound = 1e-9 * a_norm
     for dec in (
-        exact_dmd(pairs),
-        projected_dmd(pairs),
-        exact_dmd_qr(pairs),
-        exact_dmd_sequential(z),
+        exact_dmd(pairs, include_zero_modes=keep_zero),
+        projected_dmd(pairs, include_zero_modes=keep_zero),
+        exact_dmd_qr(pairs, include_zero_modes=keep_zero),
+        exact_dmd_sequential(z, include_zero_modes=keep_zero),
     ):
-        assert dec.adjoint_modes.shape == dec.exact_modes.shape, dec.algorithm
-        for lam, psi in zip(dec.eigenvalues, dec.adjoint_modes.T):
+        psi_all = dec.adjoint_modes
+        assert psi_all.shape == dec.exact_modes.shape, dec.algorithm
+        for lam, psi in zip(dec.eigenvalues, psi_all.T):
             psi = psi / np.linalg.norm(psi)
             residual = np.linalg.norm(psi.conj() @ a - lam * psi.conj())
             assert residual <= bound, dec.algorithm
+        u = dec.svd_of_x.u
+        gap = np.linalg.norm(dec.projected_modes - u @ (u.T @ dec.exact_modes), axis=0)
+        far = np.abs(dec.eigenvalues) > 1e-6 * a_norm
+        tol = 1e-10 * np.linalg.norm(dec.exact_modes, axis=0)
+        assert np.all(gap[far] <= tol[far]), dec.algorithm
 
 
 @st.composite

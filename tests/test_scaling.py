@@ -1,7 +1,5 @@
 """Tests for mode scaling conventions and amplitude fitting."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -39,12 +37,6 @@ class TestBiorthogonal:
         pairs = pairs_from_arrays(np.eye(3), np.diag([0.5, 0.5, 0.9]))
         dec = exact_dmd(pairs)
         with pytest.raises(ValueError, match="coincide"):
-            scale_biorthogonal(dec)
-
-    def test_refuses_missing_adjoints(self):
-        _, z = _linear_sequence(4)
-        dec = dataclasses.replace(exact_dmd(pairs_from_sequence(z)), adjoint_modes=None)
-        with pytest.raises(ValueError, match="adjoint"):
             scale_biorthogonal(dec)
 
 
