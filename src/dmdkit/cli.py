@@ -395,6 +395,9 @@ def _run_lim(config: argparse.Namespace) -> None:
 
 
 def _run_gen(config: argparse.Namespace) -> None:
+    out_dir = os.path.dirname(config.output)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     kind = config.kind
     if kind == "ar1":
         z = gen_mod.gen_ar1(
@@ -414,10 +417,7 @@ def _run_gen(config: argparse.Namespace) -> None:
             config.dim, config.steps, config.seed,
             spectral_radius=config.spectral_radius,
         )
-        matrix_path = os.path.join(
-            os.path.dirname(config.output) or ".", "system_matrix.csv"
-        )
-        write_real_matrix(matrix_path, mat)
+        write_real_matrix(os.path.join(out_dir or ".", "system_matrix.csv"), mat)
     else:  # two-timescale
         data = gen_mod.gen_two_timescale(
             config.f_fast,
@@ -430,9 +430,6 @@ def _run_gen(config: argparse.Namespace) -> None:
             dt=config.dt,
             amplitudes=(config.amp_fast, config.amp_slow),
         )
-    out_dir = os.path.dirname(config.output)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     write_real_matrix(config.output, data)
 
 

@@ -6,8 +6,8 @@ Four routes to the same eigenvalues:
   space and lifted through y (modes live in range(y)).
 * :func:`projected_dmd` - eigenvectors of the projection of A onto
   range(x); cheaper lift, modes live in range(x).
-* :func:`exact_dmd_qr` - works in an orthonormal basis of [x y], where
-  the restriction of A is similar to A on its range.
+* :func:`exact_dmd_qr` - works in the orthonormal basis q = [u c] of
+  [x y], c spanning the part of y outside range(x); no division by lambda.
 * :func:`exact_dmd_sequential` - specialization for a single time
   series; augments range(x) with the one direction the last snapshot
   adds, so exact modes cost one extra basis vector.
@@ -15,8 +15,8 @@ Four routes to the same eigenvalues:
 All four are one computation, :func:`_decompose`: build a small
 compression of A, eigendecompose it once, drop the zero modes, fix each
 mode's scale, phase and order on the small eigenvectors, and lift the
-exact modes. The routes only choose the compression basis (u, or q of
-[x y] for QR) and how the exact modes are lifted, which keeps the
+exact modes. The routes only choose the compression basis (u, or
+q = [u c] for QR) and how the exact modes are lifted, which keeps the
 four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
-from .linalg import ReducedSvd, _unit_scale, eig_dense, reduced_svd
+from .errors import DimensionError, RankZeroError
+from .linalg import ReducedSvd, _svd_threshold, _unit_scale, eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -102,8 +102,9 @@ class DmdDecomposition:
     ``left_vectors``, the small left eigenvectors in the coordinates of
     ``left_basis`` (u, or q for QR). Lifted from these on every read, so
     bind them to a name before a loop: ``projected_modes`` = u w, the
-    exact modes projected onto range(x) (the projected algorithm's own
-    modes), and ``adjoint_modes``, which satisfy psi* A = lambda psi*.
+    projected algorithm's own modes and, for lambda != 0, the exact
+    modes projected onto range(x); and ``adjoint_modes``, which satisfy
+    psi* A = lambda psi*.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -218,11 +219,14 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.nd
 
     The image of w under y v / sigma is itself a lambda=0 eigenvector
     when it is nonzero; when that image vanishes, u w already is one.
-    "Vanishes" is judged against the roundoff floor of the product.
+    "Vanishes" is judged against the roundoff floor of the product, with
+    the norms taken on rescaled y and t so that they stay in range.
     """
     t = _lift(op.svd_of_x.v / op.svd_of_x.sigma[None, :], w)
     bw = _lift(y, t)
-    floor = max(y.shape) * _EPS * float(np.linalg.norm(y)) * float(np.linalg.norm(t))
+    unit_y, unit_t = _unit_scale(y), _unit_scale(t)
+    norms = float(np.linalg.norm(y * unit_y)) * float(np.linalg.norm(t * unit_t))
+    floor = max(y.shape) * _EPS * norms / (unit_y * unit_t)
     if np.linalg.norm(bw) > floor:
         return bw
     return _lift(op.svd_of_x.u, w)
@@ -261,18 +265,18 @@ def _decompose(
     op: ReducedOperator,
     *,
     y: np.ndarray | None = None,
-    basis: np.ndarray | None = None,
+    complement: np.ndarray | None = None,
     direction: np.ndarray | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
 ) -> DmdDecomposition:
     """The one decomposition every route runs: eig, zero cut, scale, order.
 
-    The small matrix is A compressed onto ``basis`` (the QR route's
-    orthonormal basis of [x y]) or, by default, onto u, which is
-    a_tilde itself. Zero modes are dropped before anything is lifted.
-    Scale and order are fixed on the small vectors. How the exact
-    modes are lifted is the one thing the routes differ in:
+    The small matrix is a_tilde = u* A u or, for the QR route, q* A q
+    with q = [u c], the orthonormal ``complement`` c spanning the part of
+    y outside range(x). Zero modes are dropped before anything is lifted.
+    Scale and order are fixed on the small vectors. How the exact modes
+    are lifted is the one thing the routes differ in:
 
     * qr: q v, already an eigenvector of A;
     * exact, projected: (y v / sigma) w / lambda;
@@ -285,19 +289,20 @@ def _decompose(
     :func:`_exact_zero_mode`, which needs the images ``y``.
     """
     u = op.svd_of_x.u
-    if basis is None:
-        matrix = op.a_tilde
+    if complement is None:
+        basis, matrix = u, op.a_tilde
     else:
-        # q* A q with A = b u*, assembled at reduced size.
-        uq = u.conj().T @ basis
-        matrix = (basis.conj().T @ op.b) @ uq
+        # q = [u c] and A = b u*, so q* A q = [a_tilde; c* b] [I, u* c].
+        basis = np.concatenate([u, complement], axis=1)
+        uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
+        matrix = np.concatenate([op.a_tilde, complement.conj().T @ op.b]) @ uq
     eig = eig_dense(matrix, want_left=True)
     cut = _zero_tol(matrix, zero_tol)
     kept = np.flatnonzero(include_zero_modes | (np.abs(eig.values) > cut))
     lam = eig.values[kept]
 
     vectors = eig.vectors[:, kept]
-    reduced = vectors if basis is None else _lift(uq, vectors)  # u* exact
+    reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
     if algorithm == "qr":
         exact = _lift(basis, vectors)
     elif algorithm == "sequential" and direction is None:
@@ -326,7 +331,7 @@ def _decompose(
         exact_modes=exact,
         reduced_vectors=reduced,
         left_vectors=eig.left_vectors[:, kept[order]],
-        left_basis=u if basis is None else basis,
+        left_basis=basis,
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=op.svd_of_x,
@@ -366,8 +371,10 @@ def projected_dmd(
 ) -> DmdDecomposition:
     """Eigenpairs of A projected onto the column space of x.
 
-    Modes are u w for rank-space eigenvectors w; they equal the exact
-    modes after projection onto range(x) and share their eigenvalues.
+    Modes are u w for rank-space eigenvectors w and share the exact
+    modes' eigenvalues. For lambda != 0 they equal the exact modes after
+    projection onto range(x); a null-space exact mode built from the
+    image of y (``include_zero_modes``) may have no part in range(x).
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     return _decompose(
@@ -384,20 +391,31 @@ def exact_dmd_qr(
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
 ) -> DmdDecomposition:
-    """Exact modes via an orthonormal basis q of [x y].
+    """Exact modes via an orthonormal basis q = [u c] of [x y].
 
-    Since range(A) lies inside range([x y]), compressing A to that
-    basis preserves the nonzero spectrum, and q w is already an
-    eigenvector of A; no per-eigenvalue rescaling is needed. Costs a
-    second orthogonal factorization, pays off when modes for many
-    eigenvalues are wanted at once.
+    u is the basis of range(x) the fit already has, and c one of the
+    part of y outside range(x), so q spans range([x y]), which holds
+    range(A). Compressing A to q preserves the nonzero spectrum, and
+    q w is already an eigenvector of A; no per-eigenvalue rescaling is
+    needed. c comes from an SVD of that n x m residual, cut at the rank
+    rule of [x y]; it is empty when y lies in range(x), and then q = u.
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    q = reduced_svd(
-        np.concatenate([pairs.x, pairs.y], axis=1), rtol=rtol, atol=atol
-    ).u
+    u, y = op.svd_of_x.u, pairs.y
+    # Projected out twice, so that the residual is orthogonal to u to roundoff.
+    rest = y - u @ (u.conj().T @ y)
+    rest -= u @ (u.conj().T @ rest)
+    # hypot(sigma_1(x), |y|_F) bounds sigma_1([x y]) from above; the
+    # norm is taken on rescaled y, so it neither overflows nor underflows.
+    unit = _unit_scale(y)
+    top = np.hypot(op.svd_of_x.sigma[0], np.linalg.norm(y * unit) / unit)
+    cut = _svd_threshold((pairs.n_states, 2 * pairs.n_pairs), [top], rtol, atol)
+    try:
+        complement = reduced_svd(rest, atol=cut).u
+    except RankZeroError:
+        complement = None  # y lies in range(x), so q = u
     return _decompose(
-        "qr", op, basis=q, zero_tol=zero_tol,
+        "qr", op, complement=complement, zero_tol=zero_tol,
         include_zero_modes=include_zero_modes,
     )
 
@@ -425,9 +443,10 @@ def exact_dmd_sequential(
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     u = op.svd_of_x.u
     z_last = pairs.y[:, -1]
-    p = z_last - u @ (u.conj().T @ z_last)
+    unit = _unit_scale(z_last)  # exact rescale: the norms stay in range
+    p = (z_last - u @ (u.conj().T @ z_last)) * unit
     p_norm = np.linalg.norm(p)
-    in_span = p_norm <= _GS_TOL * max(np.linalg.norm(z_last), _EPS)
+    in_span = p_norm <= _GS_TOL * max(np.linalg.norm(z_last * unit), _EPS)
     return _decompose(
         "sequential", op, y=pairs.y, direction=None if in_span else p / p_norm,
         zero_tol=zero_tol, include_zero_modes=include_zero_modes,

@@ -133,6 +133,14 @@ class TestGenerateCommand:
         for k in range(z.shape[1] - 1):
             assert np.allclose(mat @ z[:, k], z[:, k + 1], atol=1e-12)
 
+    def test_random_linear_creates_the_output_directory(self, tmp_path):
+        out = tmp_path / "new_dir" / "z.csv"
+        code = main(["gen", "--kind", "random-linear", "--dim", "4", "--steps", "12",
+                     "--seed", "1", "--output", str(out)])
+        assert code == 0
+        assert read_matrix(str(out)).shape == (4, 12)
+        assert read_matrix(str(out.parent / "system_matrix.csv")).shape == (4, 4)
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a = str(tmp_path / "a.csv")
         b = str(tmp_path / "b.csv")

@@ -222,6 +222,17 @@ class TestSequentialAlgorithm:
         assert np.linalg.norm(corr) > 1e-8        # genuinely out of span here
         assert np.linalg.norm(a @ corr) < 1e-10 * np.linalg.norm(a)
 
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_exact_modes_at_extreme_data_scales(self, scale):
+        # The last snapshot sticks out of range(x), so the Gram-Schmidt
+        # direction must survive the scale to give eigenvectors of A.
+        z = np.random.default_rng(0).standard_normal((6, 4))
+        a = _explicit_operator(pairs_from_sequence(z))
+        dec = exact_dmd_sequential(z * scale)
+        assert dec.n_modes == 3
+        for lam, phi in zip(dec.eigenvalues, dec.exact_modes.T):
+            assert np.linalg.norm(a @ phi - lam * phi) <= 1e-12 * np.linalg.norm(phi)
+
     def test_exact_modes_match_plain_exact_dmd(self):
         rng = np.random.default_rng(23)
         z = rng.standard_normal((6, 5))
@@ -263,6 +274,19 @@ class TestZeroModes:
         mode = dec.exact_modes[:, 0]
         overlap = abs(np.vdot(mode, q / np.linalg.norm(q)))
         assert overlap > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("route", [exact_dmd, projected_dmd])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e155])
+    def test_null_space_modes_at_any_data_scale(self, route, scale):
+        # x = [e1 e2], y = [e2 e3]: A maps e1 -> e2 -> e3 -> 0, so both
+        # eigenvalues are zero and both exact modes must satisfy A phi = 0.
+        eye = np.eye(3)
+        pairs = pairs_from_arrays(eye[:, :2] * scale, eye[:, 1:] * scale)
+        dec = route(pairs, include_zero_modes=True)
+        a = np.eye(3, k=-1)
+        assert dec.n_modes == 2
+        for phi in dec.exact_modes.T:
+            assert np.linalg.norm(a @ phi) <= 1e-12 * np.linalg.norm(phi)
 
     @pytest.mark.parametrize("route", [exact_dmd, projected_dmd])
     @pytest.mark.parametrize("include, built", [(False, 0), (True, 3)])

@@ -20,6 +20,7 @@ from dmdkit import (
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
+    reduced_svd,
 )
 
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -42,6 +43,24 @@ def real_pairs(draw):
     n, m = draw(dims), draw(dims)
     rng = np.random.default_rng(draw(seeds))
     return pairs_from_arrays(rng.standard_normal((n, m)), rng.standard_normal((n, m)))
+
+
+@st.composite
+def gaussian_sequences(draw):
+    """A single Gaussian time series, tall or wide."""
+    n = draw(dims)
+    count = draw(st.integers(min_value=2, max_value=8))
+    return np.random.default_rng(draw(seeds)).standard_normal((n, count))
+
+
+def _four_route_eigenvalues(z):
+    pairs = pairs_from_sequence(z)
+    return {
+        "exact": exact_dmd(pairs).eigenvalues,
+        "projected": projected_dmd(pairs).eigenvalues,
+        "qr": exact_dmd_qr(pairs).eigenvalues,
+        "sequential": exact_dmd_sequential(z).eigenvalues,
+    }
 
 
 @st.composite
@@ -85,13 +104,9 @@ def test_real_spectrum_is_closed_under_conjugation(pairs):
 @PROFILE
 @given(wide_sequences())
 def test_four_routes_agree(z):
-    pairs = pairs_from_sequence(z)
-    base = exact_dmd(pairs).eigenvalues
-    for other in (
-        projected_dmd(pairs).eigenvalues,
-        exact_dmd_qr(pairs).eigenvalues,
-        exact_dmd_sequential(z).eigenvalues,
-    ):
+    routes = _four_route_eigenvalues(z)
+    base = routes.pop("exact")
+    for other in routes.values():
         assert other.shape == base.shape
         assert _matched_gap(other, base) <= 1e-9
 
@@ -118,6 +133,56 @@ def test_consistency_verdict_ignores_the_data_scale(pairs, exponent):
     scaled = linear_consistency(pairs_from_arrays(pairs.x * scale, pairs.y * scale))
     assert scaled.consistent == base.consistent
     assert abs(scaled.defect - base.defect) <= 1e-12
+
+
+@PROFILE
+@given(gaussian_sequences(), st.integers(min_value=-150, max_value=150))
+def test_eigenvalues_ignore_the_data_scale(z, exponent):
+    base = _four_route_eigenvalues(z)
+    scaled = _four_route_eigenvalues(z * 10.0**exponent)
+    for route, lam in base.items():
+        assert scaled[route].shape == lam.shape, route
+        if lam.size:
+            assert _matched_gap(scaled[route], lam) <= 1e-10, route
+
+
+@PROFILE
+@given(gaussian_sequences(), seeds)
+def test_eigenvalues_ignore_a_unitary_change_of_coordinates(z, seed):
+    rng = np.random.default_rng(seed)
+    n = z.shape[0]
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    base = _four_route_eigenvalues(z)
+    rotated = _four_route_eigenvalues(q @ z)
+    for route, lam in base.items():
+        assert rotated[route].shape == lam.shape, route
+        if lam.size:
+            assert _matched_gap(rotated[route], lam) <= 1e-10, route
+
+
+@PROFILE
+@given(real_pairs(), st.sampled_from([1e155, 1e-170]), st.booleans())
+def test_qr_modes_are_eigenvectors_of_the_explicit_operator_at_extreme_scales(
+    pairs, scale, keep_zero
+):
+    a = pairs.y @ np.linalg.pinv(pairs.x)
+    bound = 1e-9 * np.linalg.norm(a)
+    scaled = pairs_from_arrays(pairs.x * scale, pairs.y * scale)
+    dec = exact_dmd_qr(scaled, include_zero_modes=keep_zero)
+    assert dec.n_modes == exact_dmd_qr(pairs, include_zero_modes=keep_zero).n_modes
+    for lam, phi in zip(dec.eigenvalues, dec.exact_modes.T):
+        phi = phi / np.linalg.norm(phi)
+        assert np.linalg.norm(a @ phi - lam * phi) <= bound
+
+
+@PROFILE
+@given(real_pairs())
+def test_qr_basis_is_u_completed_by_the_rest_of_y(pairs):
+    dec = exact_dmd_qr(pairs)
+    q, u, y = dec.left_basis, dec.svd_of_x.u, pairs.y
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-12
+    assert np.array_equal(q[:, : u.shape[1]], u)
+    assert np.linalg.norm(y - q @ (q.T @ y)) <= 1e-10 * np.linalg.norm(y)
 
 
 @st.composite
@@ -172,6 +237,14 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
         far = np.abs(dec.eigenvalues) > 1e-6 * a_norm
         tol = 1e-10 * np.linalg.norm(dec.exact_modes, axis=0)
         assert np.all(gap[far] <= tol[far]), dec.algorithm
+
+
+@PROFILE
+@given(sequences())
+def test_qr_keeps_one_mode_per_direction_of_x_and_y(z):
+    pairs = pairs_from_sequence(z)
+    dec = exact_dmd_qr(pairs, include_zero_modes=True)
+    assert dec.n_modes == reduced_svd(np.concatenate([pairs.x, pairs.y], axis=1)).rank
 
 
 @st.composite
