@@ -21,8 +21,9 @@ Exit codes
     0 success, 2 usage or conflicting flags, 3 input parse failure,
     4 dimension mismatch, 5 rank-zero data, 6 domain refusal
     (inconsistent request the library rejected, including nan/inf
-    input values, a non-finite --dt or --m-weight and a nan
-    --rank-rtol, --rank-atol or --zero-tol), 1 unexpected error.
+    input values, a result that overflows float64, a non-finite --dt
+    or --m-weight and a nan --rank-rtol, --rank-atol or --zero-tol),
+    1 unexpected error.
 """
 
 from __future__ import annotations
@@ -547,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.run(args)
+        with np.errstate(over="raise"):
+            args.run(args)
         return 0
     except ConfigError as exc:
         print(f"error[usage]: {exc}", file=sys.stderr)
@@ -561,7 +563,7 @@ def main(argv=None) -> int:
     except RankZeroError as exc:
         print(f"error[rank-zero]: {exc}", file=sys.stderr)
         return 5
-    except (DmdkitError, ValueError) as exc:
+    except (DmdkitError, ValueError, FloatingPointError) as exc:
         print(f"error[domain]: {exc}", file=sys.stderr)
         return 6
     except Exception as exc:  # pragma: no cover - safety net

@@ -8,16 +8,16 @@ Four routes to the same eigenvalues:
   range(x); cheaper lift, modes live in range(x).
 * :func:`exact_dmd_qr` - works in the orthonormal basis q = [u c] of
   [x y], c spanning the part of y outside range(x); no division by lambda.
-* :func:`exact_dmd_sequential` - specialization for a single time
-  series; augments range(x) with the one direction the last snapshot
-  adds, so exact modes cost one extra basis vector.
+* :func:`exact_dmd_sequential` - the QR route for a single time series,
+  where c is at most one vector: the part of the last snapshot outside
+  range(x).
 
 All four are one computation, :func:`_decompose`: build a small
 compression of A, eigendecompose it once, drop the zero modes, fix each
 mode's scale, phase and order on the small eigenvectors, and lift the
-exact modes. The routes only choose the compression basis (u, or
-q = [u c] for QR) and how the exact modes are lifted, which keeps the
-four-way agreement a real check.
+exact modes. The routes only choose the compression basis (u, or the
+joint basis q = [u c]) and how the exact modes are lifted, which keeps
+the four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. Real snapshots stay real up to the small
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _svd_threshold, _unit_scale, eig_dense, reduced_svd
+from .linalg import ReducedSvd, _norm, _svd_threshold, eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
-
-# The sequential route treats the last snapshot as lying in range(x)
-# when its part outside that range is below this fraction of its norm.
-_GS_TOL = 1e-10
 
 # linear_consistency calls a pairing consistent when its relative
 # defect is at most this.
@@ -100,11 +96,11 @@ class DmdDecomposition:
     ``exact_modes``, eigenvectors of A; ``reduced_vectors``, the
     rank-space eigenvectors w with u* phi = w (lambda != 0); and
     ``left_vectors``, the small left eigenvectors in the coordinates of
-    ``left_basis`` (u, or q for QR). Lifted from these on every read, so
-    bind them to a name before a loop: ``projected_modes`` = u w, the
-    projected algorithm's own modes and, for lambda != 0, the exact
-    modes projected onto range(x); and ``adjoint_modes``, which satisfy
-    psi* A = lambda psi*.
+    ``left_basis`` (u, or q for QR and sequential). Lifted from these on
+    every read, so bind them to a name before a loop: ``projected_modes``
+    = u w, the projected algorithm's own modes and, for lambda != 0, the
+    exact modes projected onto range(x); and ``adjoint_modes``, which
+    satisfy psi* A = lambda psi*.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -219,15 +215,11 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.nd
 
     The image of w under y v / sigma is itself a lambda=0 eigenvector
     when it is nonzero; when that image vanishes, u w already is one.
-    "Vanishes" is judged against the roundoff floor of the product, with
-    the norms taken on rescaled y and t so that they stay in range.
+    "Vanishes" is judged against the roundoff floor of the product.
     """
     t = _lift(op.svd_of_x.v / op.svd_of_x.sigma[None, :], w)
     bw = _lift(y, t)
-    unit_y, unit_t = _unit_scale(y), _unit_scale(t)
-    norms = float(np.linalg.norm(y * unit_y)) * float(np.linalg.norm(t * unit_t))
-    floor = max(y.shape) * _EPS * norms / (unit_y * unit_t)
-    if np.linalg.norm(bw) > floor:
+    if np.linalg.norm(bw) > max(y.shape) * _EPS * (_norm(y) * _norm(t)):
         return bw
     return _lift(op.svd_of_x.u, w)
 
@@ -266,27 +258,22 @@ def _decompose(
     *,
     y: np.ndarray | None = None,
     complement: np.ndarray | None = None,
-    direction: np.ndarray | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
 ) -> DmdDecomposition:
     """The one decomposition every route runs: eig, zero cut, scale, order.
 
-    The small matrix is a_tilde = u* A u or, for the QR route, q* A q
-    with q = [u c], the orthonormal ``complement`` c spanning the part of
-    y outside range(x). Zero modes are dropped before anything is lifted.
-    Scale and order are fixed on the small vectors. How the exact modes
-    are lifted is the one thing the routes differ in:
+    The small matrix is a_tilde = u* A u or, for the joint-basis routes
+    (QR and sequential), q* A q with q = [u c], the orthonormal
+    ``complement`` c spanning the part of y outside range(x). Zero modes
+    are dropped before anything is lifted. Scale and order are fixed on
+    the small vectors. How the exact modes are lifted is the one thing
+    the routes differ in:
 
-    * qr: q v, already an eigenvector of A;
-    * exact, projected: (y v / sigma) w / lambda;
-    * sequential: u w plus the part of b w along the Gram-Schmidt
-      ``direction`` the last snapshot adds, divided by lambda; without
-      a direction (the last snapshot lies in range(x)) the exact modes
-      are the projected ones, u w.
-
-    Null-space modes of the lambda-divided lifts come from
-    :func:`_exact_zero_mode`, which needs the images ``y``.
+    * qr, sequential: q v, already an eigenvector of A, lifted once the
+      small vectors v are scaled and ordered;
+    * exact, projected: (y v / sigma) w / lambda, with null-space modes
+      from :func:`_exact_zero_mode`, which needs the images ``y``.
     """
     u = op.svd_of_x.u
     if complement is None:
@@ -303,29 +290,23 @@ def _decompose(
 
     vectors = eig.vectors[:, kept]
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
-    if algorithm == "qr":
-        exact = _lift(basis, vectors)
-    elif algorithm == "sequential" and direction is None:
-        exact = None  # u w, lifted once the reduced vectors are final
-    else:
+    joint = algorithm in ("qr", "sequential")
+    if not joint:
         zero = np.abs(lam) <= cut  # never set unless include_zero_modes
-        lam_or_one = np.where(zero, 1.0, lam)
-        if direction is None:
-            exact = _lift(op.b, vectors) / lam_or_one
-        else:
-            # b w itself is never formed, only its part along direction.
-            along = _lift((direction.conj() @ op.b)[None, :], vectors)[0]
-            exact = _lift(u, vectors) + np.outer(direction, along / lam_or_one)
+        exact = _lift(op.b, vectors) / np.where(zero, 1.0, lam)
         for j in np.flatnonzero(zero):
             exact[:, j] = _exact_zero_mode(op, vectors[:, j], y)
 
     scale = _column_scale(reduced)
-    # Modes u w have the norms of w, since u has orthonormal columns.
-    own = reduced if exact is None or algorithm == "projected" else exact
+    # Modes q v and u w have the norms of v and w: q and u are orthonormal.
+    own = vectors if joint or algorithm == "projected" else exact
     order = _canonical_order(lam, np.linalg.norm(own, axis=0) * np.abs(scale))
     scale = scale[order]
     reduced = np.take(reduced, order, axis=1) * scale
-    exact = _lift(u, reduced) if exact is None else np.take(exact, order, axis=1) * scale
+    if joint:
+        exact = _lift(basis, vectors[:, order] * scale)
+    else:
+        exact = np.take(exact, order, axis=1) * scale
     return DmdDecomposition(
         eigenvalues=lam[order],
         exact_modes=exact,
@@ -383,6 +364,24 @@ def projected_dmd(
     )
 
 
+def _outside_range(
+    op: ReducedOperator, a: np.ndarray, rtol: float | None, atol: float | None
+) -> tuple[np.ndarray, float]:
+    """The part of the columns ``a`` outside range(x), and its cut.
+
+    u is projected out twice, so that the residual is orthogonal to u to
+    roundoff. The cut is the rank rule of [x a], taken at
+    hypot(sigma_1(x), |a|_F), an upper bound of sigma_1([x a]); a
+    direction of the residual counts when it stands above the cut.
+    """
+    u = op.svd_of_x.u
+    rest = a - u @ (u.conj().T @ a)
+    rest -= u @ (u.conj().T @ rest)
+    top = np.hypot(op.svd_of_x.sigma[0], _norm(a))
+    shape = (u.shape[0], op.svd_of_x.v.shape[0] + a.shape[1])
+    return rest, _svd_threshold(shape, [top], rtol, atol)
+
+
 def exact_dmd_qr(
     pairs: SnapshotPairs,
     *,
@@ -401,15 +400,7 @@ def exact_dmd_qr(
     rule of [x y]; it is empty when y lies in range(x), and then q = u.
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    u, y = op.svd_of_x.u, pairs.y
-    # Projected out twice, so that the residual is orthogonal to u to roundoff.
-    rest = y - u @ (u.conj().T @ y)
-    rest -= u @ (u.conj().T @ rest)
-    # hypot(sigma_1(x), |y|_F) bounds sigma_1([x y]) from above; the
-    # norm is taken on rescaled y, so it neither overflows nor underflows.
-    unit = _unit_scale(y)
-    top = np.hypot(op.svd_of_x.sigma[0], np.linalg.norm(y * unit) / unit)
-    cut = _svd_threshold((pairs.n_states, 2 * pairs.n_pairs), [top], rtol, atol)
+    rest, cut = _outside_range(op, pairs.y, rtol, atol)
     try:
         complement = reduced_svd(rest, atol=cut).u
     except RankZeroError:
@@ -431,24 +422,19 @@ def exact_dmd_sequential(
 ) -> DmdDecomposition:
     """Exact modes from a single time series z_0, ..., z_m.
 
-    Only the final snapshot can stick out of range(x), so one
-    Gram-Schmidt step against u supplies the full basis of [x y] and
-    the exact mode is u w plus a rank-one correction along that new
-    direction. When the final snapshot already lies in range(x)
-    (relative residual at most ``_GS_TOL``, 1e-10) the output coincides
-    with :func:`projected_dmd` on the same data; the exact and projected
-    families are then identical.
+    Every column of y but the last is a column of x, so range([x y]) =
+    range([x z_m]): this is the QR route with at most one complement
+    vector, the normalized part of z_m outside range(x), kept when it
+    stands above the rank rule of [x z_m]. Otherwise z_m lies in
+    range(x) and the output coincides with :func:`projected_dmd`; the
+    exact and projected families are then identical.
     """
     pairs = pairs_from_sequence(z, dt=dt)
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    u = op.svd_of_x.u
-    z_last = pairs.y[:, -1]
-    unit = _unit_scale(z_last)  # exact rescale: the norms stay in range
-    p = (z_last - u @ (u.conj().T @ z_last)) * unit
-    p_norm = np.linalg.norm(p)
-    in_span = p_norm <= _GS_TOL * max(np.linalg.norm(z_last * unit), _EPS)
+    rest, cut = _outside_range(op, pairs.y[:, -1:], rtol, atol)
+    norm = _norm(rest)
     return _decompose(
-        "sequential", op, y=pairs.y, direction=None if in_span else p / p_norm,
+        "sequential", op, complement=rest / norm if norm > cut else None,
         zero_tol=zero_tol, include_zero_modes=include_zero_modes,
     )
 
@@ -483,11 +469,9 @@ def linear_consistency(
     y = pairs.y
     if not y.any():
         return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op.svd_of_x.rank)
-    unit = _unit_scale(y)  # exact rescale: squared entries stay in range
-    y_norm = float(np.linalg.norm(y * unit))
-    defect = float(np.linalg.norm((y - (y @ v) @ v.conj().T) * unit)) / y_norm
-    misfit = op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y
-    residual = float(np.linalg.norm(misfit * unit)) / y_norm
+    y_norm = _norm(y)
+    defect = _norm(y - (y @ v) @ v.conj().T) / y_norm
+    residual = _norm(op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y) / y_norm
     return ConsistencyReport(
         consistent=defect <= _CONSISTENCY_TOL,
         defect=defect,

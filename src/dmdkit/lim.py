@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmd import reduced_operator
-from .linalg import _unit_scale
+from .linalg import _norm, _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = [
@@ -35,16 +35,12 @@ _MEAN_TOL = 1e-10
 def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
     if force:
         return
-    unit = _unit_scale(pairs.x)  # exact rescale: squared entries stay in range
-    mean = pairs.x.mean(axis=1) * unit
-    scale = float(np.linalg.norm(pairs.x * unit))
-    if scale > 0 and float(np.linalg.norm(mean)) > _MEAN_TOL * scale:
+    mean, scale = _norm(pairs.x.mean(axis=1)), _norm(pairs.x)
+    if scale > 0 and mean > _MEAN_TOL * scale:
         raise ValueError(
             "snapshots are not mean-subtracted (column-mean norm {:.2e} vs "
             "data norm {:.2e}); center them with subtract_mean, or pass "
-            "force=True for data that is zero-mean by construction".format(
-                float(np.linalg.norm(mean)) / unit, scale / unit
-            )
+            "force=True for data that is zero-mean by construction".format(mean, scale)
         )
 
 
@@ -52,7 +48,6 @@ def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
 class LimModel:
     """EOF basis, coefficient series, and the fitted lag propagator.
 
-    ``lambda_cov`` is the (diagonal) coefficient covariance sigma^2 / m;
     ``green`` maps coefficients one lag tau forward in the least-squares
     sense.
     """
@@ -60,9 +55,13 @@ class LimModel:
     eofs: np.ndarray
     x_hat: np.ndarray
     y_hat: np.ndarray
-    lambda_cov: np.ndarray
     green: np.ndarray
     tau: float | None
+
+    @property
+    def lambda_cov(self) -> np.ndarray:
+        """Zero-lag covariance of x_hat, diag(sigma^2 / m), formed on read."""
+        return np.diag(np.sum(np.abs(self.x_hat) ** 2, axis=1) / self.x_hat.shape[1])
 
 
 def lim_model(
@@ -84,14 +83,12 @@ def lim_model(
     u = svd.u
     x_hat = u.conj().T @ pairs.x
     y_hat = u.conj().T @ pairs.y
-    m = pairs.n_pairs
     unit = _unit_scale(svd.sigma)  # exact rescale: squared entries stay in range
     green = ((unit * y_hat) @ (unit * x_hat).conj().T) / (unit * svd.sigma[None, :]) ** 2
     return LimModel(
         eofs=u,
         x_hat=x_hat,
         y_hat=y_hat,
-        lambda_cov=np.diag(svd.sigma**2 / m),
         green=green,
         tau=pairs.dt,
     )

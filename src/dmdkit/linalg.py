@@ -49,9 +49,21 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _unit_scale(a: np.ndarray) -> float:
     """Power of two taking the largest magnitude in ``a`` into [0.5, 1).
 
-    Scaling by it is exact, so ratios of norms of scaled data keep every bit.
+    Scaling by it is exact, so ratios of norms of scaled data keep every
+    bit. Below 2^-1024 it stops at 2^1023, the largest finite power of two.
     """
-    return float(np.ldexp(1.0, -np.frexp(np.max(np.abs(a)))[1]))
+    return float(np.ldexp(1.0, min(-np.frexp(np.max(np.abs(a)))[1], 1023)))
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of ``a``, in range whenever the norm itself is.
+
+    The squares are taken on ``a`` rescaled by :func:`_unit_scale`, so
+    they neither overflow nor underflow; at ordinary scales the result
+    equals ``np.linalg.norm(a)`` bit for bit.
+    """
+    unit = _unit_scale(a)
+    return float(np.linalg.norm(a * unit)) / unit
 
 
 @dataclass(frozen=True)
@@ -176,9 +188,9 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
     vr = vr.astype(np.complex128, copy=False)
 
     vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    scale = float(np.linalg.norm(mm))
+    scale = _norm(mm)
     resid = np.linalg.norm(mm @ vr - vr * values[None, :], axis=0)
-    if np.any(resid > eig_tol * max(scale, _EPS)):
+    if np.any(resid > eig_tol * scale):
         raise EigensolverError(
             "right eigenpair residual {:.3e} exceeds {:.3e}".format(
                 float(resid.max()), eig_tol * scale
@@ -188,7 +200,7 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
         vl = vl.astype(np.complex128, copy=False)
         vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
         lres = np.linalg.norm(vl.conj().T @ mm - values[:, None] * vl.conj().T, axis=1)
-        if np.any(lres > eig_tol * max(scale, _EPS)):
+        if np.any(lres > eig_tol * scale):
             raise EigensolverError(
                 "left eigenpair residual {:.3e} exceeds {:.3e}".format(
                     float(lres.max()), eig_tol * scale

@@ -19,6 +19,7 @@ import numpy as np
 
 from .dmd import DmdDecomposition
 from .errors import DimensionError
+from .linalg import _norm, _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
@@ -121,29 +122,32 @@ def scale_amplitudes(
         if convention == "y0":
             t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
             d = t / lam
-            residual = float(np.linalg.norm(phi @ (lam * d) - target))
+            residual = _norm(phi @ (lam * d) - target)
         else:
             d, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
-            residual = float(np.linalg.norm(phi @ d - target))
+            residual = _norm(phi @ d - target)
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
-        # so only m-by-k factors and y* y ever appear.
+        # so only m-by-k factors and y* y ever appear. y and t_mat are
+        # rescaled by reciprocal powers of two, which leaves y t_mat
+        # exactly as it was and keeps y* y in range.
         svd = dec.svd_of_x
         if pairs.y.shape != (phi.shape[0], svd.v.shape[0]):
             raise DimensionError(
                 "pairs do not match the decomposition (expected y of shape "
                 f"{(phi.shape[0], svd.v.shape[0])}, got {pairs.y.shape})"
             )
-        t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
-        gram = t_mat.conj().T @ (pairs.y.conj().T @ pairs.y) @ t_mat
+        unit = _unit_scale(pairs.y)
+        y = pairs.y * unit
+        t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors / unit
+        gram = t_mat.conj().T @ (y.conj().T @ y) @ t_mat
+        rhs = t_mat.conj().T @ (y.conj().T @ target)
         if convention == "y0":
-            rhs = t_mat.conj().T @ (pairs.y.conj().T @ target)
             d = np.linalg.solve(gram, rhs)
-            residual = float(np.linalg.norm(pairs.y @ (t_mat @ d) - target))
+            residual = _norm(y @ (t_mat @ d) - target)
         else:
-            rhs = t_mat.conj().T @ (pairs.y.conj().T @ target)
             d = lam * np.linalg.solve(gram, rhs)
-            residual = float(np.linalg.norm(pairs.y @ (t_mat @ (d / lam)) - target))
+            residual = _norm(y @ (t_mat @ (d / lam)) - target)
 
     return replace(
         dec,

@@ -1,10 +1,16 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
+import io
 import os
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmdkit.cli import main, read_matrix, write_complex_matrix, write_real_matrix
 from dmdkit.errors import ParseError
@@ -385,7 +391,62 @@ class TestExitCodes:
         assert not out.exists()
         assert main([command, "--input", src, "--output-dir", str(out), flag, "0"]) == 0
 
+    @pytest.mark.parametrize("command", ["dmd", "check"])
+    def test_overflowing_result_is_a_domain_error(self, tmp_path, capsys, command):
+        # The misfit y x^+ x - y leaves the float64 range; it used to be
+        # reported as inf or nan with exit 0.
+        src = tmp_path / "z.csv"
+        src.write_text("3.0,1.7976931348623157e308\n")
+        assert main([command, "--input", str(src), "--output-dir", str(tmp_path / "out")]) == 6
+        assert "overflow" in capsys.readouterr().err
+
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["dmd", "--no-such-flag"])
         assert exc.value.code == 2
+
+
+# Tokens a hand-edited CSV may hold: numbers, extremes, non-finite and
+# complex values, blanks and junk.
+_TOKENS = st.sampled_from([
+    "0", "1", "-2.5", "1e-3", "3e300", "1e-310", "nan", "inf", "1+2j", "(1-1j)",
+    "", " ", "abc", "0x10",
+])
+_CELLS = st.one_of(_TOKENS, st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# Ragged, empty (no rows), header-only (one row with --header) and 1x1
+# tables all come out of this.
+_TABLES = st.lists(st.lists(_CELLS, max_size=4), max_size=5)
+_COMMANDS = st.sampled_from([
+    ["dmd"],
+    ["dmd", "--algorithm", "sequential", "--include-zero-modes"],
+    ["dmd", "--algorithm", "qr"],
+    ["dmd", "--scaling", "amplitude-gram"],
+    ["check"],
+    ["lim"],
+    ["era"],
+])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(_TABLES, _COMMANDS, st.sampled_from([1, 2, 10**12]), st.booleans())
+def test_fuzzed_csv_ends_in_a_documented_exit_code(table, command, delay, header):
+    """Never exit 1 (an unexpected error), never a traceback or a warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "z.csv")
+        with open(src, "w", encoding="utf-8") as fh:
+            fh.write("".join(",".join(row) + "\n" for row in table))
+        argv = command + ["--input", src, "--output-dir", os.path.join(tmp, "out")]
+        if command[0] != "era":
+            argv += ["--delay", str(delay)]
+        if header:
+            argv.append("--header")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+    assert code in {0, 2, 3, 4, 5, 6}, (argv, table, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -222,6 +222,21 @@ class TestSequentialAlgorithm:
         assert np.linalg.norm(corr) > 1e-8        # genuinely out of span here
         assert np.linalg.norm(a @ corr) < 1e-10 * np.linalg.norm(a)
 
+    def test_last_snapshot_cut_follows_the_rank_tolerance(self):
+        # 1e-6 of the last snapshot lies outside range(x): a direction at
+        # the default rank rule, below the cut at rtol=1e-4.
+        rng = np.random.default_rng(24)
+        z = rng.standard_normal((6, 5))
+        q, _ = np.linalg.qr(z[:, :-1])
+        out = rng.standard_normal(6)
+        out -= q @ (q.T @ out)
+        z[:, -1] = z[:, :-1] @ rng.standard_normal(4) + 1e-6 * out / np.linalg.norm(out)
+        dec = exact_dmd_sequential(z)
+        assert not np.allclose(dec.exact_modes, dec.projected_modes, rtol=0, atol=1e-9)
+        cut = exact_dmd_sequential(z, rtol=1e-4)
+        assert cut.svd_of_x.rank == 4
+        assert np.array_equal(cut.exact_modes, cut.projected_modes)
+
     @pytest.mark.parametrize("scale", [1e155, 1e-170])
     def test_exact_modes_at_extreme_data_scales(self, scale):
         # The last snapshot sticks out of range(x), so the Gram-Schmidt

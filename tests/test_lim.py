@@ -1,5 +1,7 @@
 """Tests for the statistical propagator view of the snapshot operator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ class TestModelStructure:
         assert np.allclose(np.diag(model.lambda_cov), want, atol=1e-14)
         off = model.lambda_cov - np.diag(np.diag(model.lambda_cov))
         assert np.abs(off).max() == 0.0
+
+    def test_huge_data_fits_without_a_warning(self):
+        # sigma**2 overflows at 1e155; nothing the fit returns needs it.
+        pairs, _ = _centered_pairs(7)
+        scaled = pairs_from_arrays(pairs.x * 1e155, pairs.y * 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = lim_model(scaled)
+        assert np.abs(model.green - lim_model(pairs).green).max() < 1e-12 * np.abs(model.green).max()
 
     def test_eof_coefficients_reproduce_snapshots(self):
         pairs, _ = _centered_pairs(5)

@@ -11,6 +11,7 @@ from dmdkit import (
     reduced_svd,
 )
 from dmdkit.errors import DimensionError, EigensolverError
+from dmdkit.linalg import _norm
 
 
 def _cofactor_det(m):
@@ -125,3 +126,27 @@ class TestEigDense:
         m = rng.standard_normal((8, 8))
         with pytest.raises(EigensolverError):
             eig_dense(m, eig_tol=1e-18)
+
+    @pytest.mark.parametrize("value", [1.0 / 3e300, 1e-200])
+    def test_tiny_matrix_pairs_are_checked_relative_to_its_norm(self, value):
+        # Some LAPACK builds return 6.7e-139 as the eigenvalue of [[3.3e-301]];
+        # a residual bound floored at eps let that through as a valid pair.
+        try:
+            pairs = eig_dense(np.array([[value]]))
+        except EigensolverError:
+            return
+        assert abs(pairs.values[0] - value) <= 1e-9 * value
+
+
+class TestNorm:
+    @pytest.mark.parametrize("scale", [1e-320, 1e-300, 1e-170, 1e155, 1e300])
+    def test_frobenius_norm_at_any_scale(self, scale):
+        # The squares of every entry here leave the float64 range; the
+        # largest entry of the 1e-320 case is itself subnormal.
+        a = np.array([[3.0, 0.0], [0.0, -4.0]]) * scale
+        assert _norm(a) == pytest.approx(np.hypot(a[0, 0], a[1, 1]), rel=1e-15)
+
+    def test_equals_the_plain_norm_at_ordinary_scales(self):
+        a = np.random.default_rng(0).standard_normal((7, 5)) + 1j
+        assert _norm(a) == np.linalg.norm(a)
+        assert _norm(np.zeros((2, 3))) == 0.0

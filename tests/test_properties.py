@@ -12,15 +12,19 @@ from hypothesis import strategies as st
 
 from dmdkit import (
     build_hankel,
+    era_dmd_similarity,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
+    lim_dmd_equivalence,
     linear_consistency,
     markov_from_blocks,
+    markov_parameters,
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
     reduced_svd,
+    subtract_mean,
 )
 
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -135,6 +139,65 @@ def test_consistency_verdict_ignores_the_data_scale(pairs, exponent):
     assert abs(scaled.defect - base.defect) <= 1e-12
 
 
+@st.composite
+def pairs_with_known_null_space(draw):
+    """x = b v* of rank r, with n the orthonormal complement of v, and
+    y = a x plus, when ``leak`` is drawn, g n*: a part of y that x cannot
+    see. Returns the pairs and whether x c = 0 implies y c = 0."""
+    n_states, m = draw(dims), draw(dims)
+    r = draw(st.integers(min_value=1, max_value=min(n_states, m)))
+    leak = draw(st.sampled_from([0.0, 1e-4, 1.0]))
+    rng = np.random.default_rng(draw(seeds))
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, null = basis[:, :r], basis[:, r:]
+    x = rng.standard_normal((n_states, r)) @ v.T
+    y = rng.standard_normal((n_states, n_states)) @ x
+    y += leak * rng.standard_normal((n_states, m - r)) @ null.T
+    return pairs_from_arrays(x, y), leak == 0.0 or r == m
+
+
+@PROFILE
+@given(pairs_with_known_null_space())
+def test_consistency_holds_exactly_when_x_c_zero_implies_y_c_zero(case):
+    pairs, consistent = case
+    assert linear_consistency(pairs).consistent == consistent
+
+
+@st.composite
+def stable_systems(draw):
+    """(a, b, c) with n <= 4 states, p, q <= 2 and spectral radius in [0.5, 0.95]."""
+    n, p, q = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(seeds))
+    a = rng.standard_normal((n, n))
+    a *= rng.uniform(0.5, 0.95) / max(abs(np.linalg.eigvals(a)))
+    return a, rng.standard_normal((n, p)), rng.standard_normal((q, n))
+
+
+@PROFILE
+@given(stable_systems())
+def test_era_is_similar_to_the_snapshot_decomposition(system):
+    a, b, c = system
+    n = a.shape[0]
+    h, h_shift = build_hankel(markov_parameters(a, b, c, count=2 * n + 1), m_c=n, m_o=n)
+    report = era_dmd_similarity(h, h_shift)
+    assert report.max_eigenvalue_mismatch <= 1e-9
+    assert report.max_map_residual <= 1e-9
+
+
+@PROFILE
+@given(stable_systems(), seeds)
+def test_lim_propagator_is_the_reduced_operator(system, seed):
+    a = system[0]
+    n = a.shape[0]
+    rng = np.random.default_rng(seed)
+    z = np.empty((n, 3 * n + 4))
+    z[:, 0] = rng.standard_normal(n)
+    for k in range(z.shape[1] - 1):
+        z[:, k + 1] = a @ z[:, k] + rng.standard_normal(n)
+    centered, _ = subtract_mean(pairs_from_sequence(z))
+    assert lim_dmd_equivalence(centered).equivalent
+
+
 @PROFILE
 @given(gaussian_sequences(), st.integers(min_value=-150, max_value=150))
 def test_eigenvalues_ignore_the_data_scale(z, exponent):
@@ -242,9 +305,11 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
 @PROFILE
 @given(sequences())
 def test_qr_keeps_one_mode_per_direction_of_x_and_y(z):
+    """Both joint-basis routes, QR and sequential."""
     pairs = pairs_from_sequence(z)
-    dec = exact_dmd_qr(pairs, include_zero_modes=True)
-    assert dec.n_modes == reduced_svd(np.concatenate([pairs.x, pairs.y], axis=1)).rank
+    rank = reduced_svd(np.concatenate([pairs.x, pairs.y], axis=1)).rank
+    assert exact_dmd_qr(pairs, include_zero_modes=True).n_modes == rank
+    assert exact_dmd_sequential(z, include_zero_modes=True).n_modes == rank
 
 
 @st.composite

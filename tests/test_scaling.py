@@ -41,6 +41,25 @@ class TestBiorthogonal:
 
 
 class TestAmplitudes:
+    @pytest.mark.parametrize("method", ["qr", "gram"])
+    @pytest.mark.parametrize("scale", [1e155, 1e-170])
+    def test_amplitudes_and_residual_at_extreme_data_scales(self, method, scale):
+        # Truncating the rank leaves y_0 a residual well above roundoff.
+        # y* y and the squares in its norm overflow at 1e155 and underflow
+        # at 1e-170 unless they are taken on rescaled data.
+        _, z = _linear_sequence(4, n=6, steps=12)
+
+        def fit(data):
+            pairs = pairs_from_sequence(data)
+            return scale_amplitudes(exact_dmd(pairs, rtol=0.3), pairs, method=method)
+
+        base, dec = fit(z), fit(z * scale)
+        assert base.amplitude_residual > 1e-3 * np.linalg.norm(z[:, 1])
+        assert np.abs(dec.amplitudes / scale - base.amplitudes).max() <= (
+            1e-9 * np.abs(base.amplitudes).max()
+        )
+        assert dec.amplitude_residual / scale == pytest.approx(base.amplitude_residual, rel=1e-9)
+
     def test_hand_checked_swap_sequence(self):
         # snapshots e1, e2, e1: the map swaps the axes, eigenvalues +1 and -1,
         # modes (e1 +- e2)/sqrt(2), and the first image expands with equal
