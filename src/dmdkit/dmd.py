@@ -167,7 +167,7 @@ def _zero_tol(a_tilde: np.ndarray, zero_tol: float | None) -> float:
             raise ValueError(f"zero_tol must be nonnegative, got {zero_tol}")
         return float(zero_tol)
     r = a_tilde.shape[0]
-    return r * _EPS * float(np.linalg.norm(a_tilde))
+    return r * _EPS * _norm(a_tilde)
 
 
 def _defect_warning(vectors: np.ndarray) -> tuple[str, ...]:
@@ -283,7 +283,7 @@ def _decompose(
         basis = np.concatenate([u, complement], axis=1)
         uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
         matrix = np.concatenate([op.a_tilde, complement.conj().T @ op.b]) @ uq
-    eig = eig_dense(matrix, want_left=True)
+    eig = eig_dense(matrix)
     cut = _zero_tol(matrix, zero_tol)
     kept = np.flatnonzero(include_zero_modes | (np.abs(eig.values) > cut))
     lam = eig.values[kept]

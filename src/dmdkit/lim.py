@@ -123,7 +123,7 @@ def lim_dmd_equivalence(
     model = lim_model(pairs, force=force, rtol=rtol, atol=atol)
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     diff = float(np.max(np.abs(model.green - op.a_tilde)))
-    bound = tol * float(np.linalg.norm(op.a_tilde))
+    bound = tol * _norm(op.a_tilde)
     return LimDmdReport(
         green=model.green,
         a_tilde=op.a_tilde,

@@ -2,7 +2,8 @@
 
 Everything downstream funnels through the two entry points here,
 :func:`reduced_svd` and :func:`eig_dense`, so the rank threshold and
-the eigenpair residual contract are enforced once. Real input is
+the eigenpair residual rule (:func:`_max_residual`, which also checks
+ERA's eigenvector map) are enforced once, at any scale. Real input is
 carried as float64 and complex input as complex128, so every
 factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
@@ -26,6 +27,12 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+
+# Largest eigenpair residual eig_dense accepts, relative to norm(m).
+_EIG_TOL = 1e-9
+# LAPACK geev rescales a matrix whose largest entry lies outside
+# [_GEEV_LOW, 1 / _GEEV_LOW] = [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138].
+_GEEV_LOW = float(np.sqrt(np.finfo(np.float64).tiny)) / _EPS
 
 
 def _working_dtype(*arrays) -> type:
@@ -89,7 +96,7 @@ class ReducedSvd:
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigenvalues with unit-norm right (and optionally left) eigenvectors.
+    """Eigenvalues with unit-norm right and left eigenvectors.
 
     Right vectors satisfy ``m @ vectors[:, j] == values[j] * vectors[:, j]``;
     left vectors satisfy ``left_vectors[:, j].conj().T @ m ==
@@ -100,7 +107,7 @@ class EigenPairs:
 
     values: np.ndarray
     vectors: np.ndarray
-    left_vectors: np.ndarray | None = None
+    left_vectors: np.ndarray
 
 
 def _svd_threshold(shape, sigma, rtol, atol) -> float:
@@ -161,14 +168,27 @@ def reduced_svd(
     )
 
 
-def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPairs:
+def _max_residual(m: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> float:
+    """Largest ``norm(m @ v - lam * v)`` over the unit columns v, relative to ``norm(m)``.
+
+    Taken after an exact rescale by :func:`_unit_scale`, so the ratio
+    does not depend on the scale of m; a zero m reads the plain residual.
+    """
+    unit = _unit_scale(m)
+    resid = np.linalg.norm(m * unit @ vectors - vectors * (unit * values), axis=0).max()
+    return float(resid) / (_norm(m) * unit or 1.0)
+
+
+def eig_dense(m) -> EigenPairs:
     """Dense eigendecomposition with a verified residual bound.
 
-    Every returned right pair satisfies
-    ``norm(m @ w - lam * w) <= eig_tol * norm(m, 'fro')`` for unit w,
-    and left pairs the transposed analogue; violation raises
-    :class:`EigensolverError` rather than returning silently bad vectors.
-    A real matrix is decomposed in real arithmetic; its complex
+    Returns unit right and left eigenvectors. Every pair satisfies
+    ``norm(m @ w - lam * w) <= 1e-9 * norm(m, 'fro')`` for unit w, and
+    every left pair the same bound as a right pair of m*; a violation
+    raises :class:`EigensolverError` rather than returning silently bad
+    vectors. A matrix whose largest entry lies outside LAPACK geev's
+    own scaling window is eigendecomposed after an exact power-of-two
+    rescale. A real matrix is decomposed in real arithmetic; its complex
     eigenvalues then come in exactly conjugate pairs with exactly
     conjugate vectors.
     """
@@ -178,32 +198,17 @@ def eig_dense(m, *, want_left: bool = False, eig_tol: float = 1e-9) -> EigenPair
     if mm.shape[0] == 0:
         raise DimensionError("eig_dense needs a nonempty matrix")
 
-    if want_left:
-        values, vl, vr = scipy.linalg.eig(mm, left=True, right=True)
-    else:
-        values, vr = scipy.linalg.eig(mm)
-        vl = None
+    # Some LAPACK builds lose the factor of geev's own rescale; do it here.
+    unit = 1.0 if _GEEV_LOW <= np.max(np.abs(mm)) <= 1.0 / _GEEV_LOW else _unit_scale(mm)
+    values, vl, vr = scipy.linalg.eig(mm * unit, left=True, right=True)
     # A real matrix with a real spectrum gets real vectors from LAPACK.
-    values = values.astype(np.complex128, copy=False)
-    vr = vr.astype(np.complex128, copy=False)
-
-    vr = vr / np.linalg.norm(vr, axis=0, keepdims=True)
-    scale = _norm(mm)
-    resid = np.linalg.norm(mm @ vr - vr * values[None, :], axis=0)
-    if np.any(resid > eig_tol * scale):
-        raise EigensolverError(
-            "right eigenpair residual {:.3e} exceeds {:.3e}".format(
-                float(resid.max()), eig_tol * scale
-            )
-        )
-    if vl is not None:
-        vl = vl.astype(np.complex128, copy=False)
-        vl = vl / np.linalg.norm(vl, axis=0, keepdims=True)
-        lres = np.linalg.norm(vl.conj().T @ mm - values[:, None] * vl.conj().T, axis=1)
-        if np.any(lres > eig_tol * scale):
+    values, vl, vr = (a.astype(np.complex128, copy=False) for a in (values / unit, vl, vr))
+    vr, vl = (v / np.linalg.norm(v, axis=0, keepdims=True) for v in (vr, vl))
+    # A left pair (lam, z) is the right pair (conj(lam), z) of m*.
+    for side, args in (("right", (mm, vr, values)), ("left", (mm.conj().T, vl, values.conj()))):
+        resid = _max_residual(*args)
+        if resid > _EIG_TOL:
             raise EigensolverError(
-                "left eigenpair residual {:.3e} exceeds {:.3e}".format(
-                    float(lres.max()), eig_tol * scale
-                )
+                f"{side} eigenpair residual {resid:.3e} norm(m) exceeds {_EIG_TOL:g} norm(m)"
             )
     return EigenPairs(values=values, vectors=vr, left_vectors=vl)

@@ -24,8 +24,6 @@ from .pairs import SnapshotPairs
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
 
-_EPS = float(np.finfo(np.float64).eps)
-
 # Eigenvalues closer than this fraction of the largest magnitude have no
 # well-defined biorthogonal pairing.
 _GAP_TOL = 1e-9
@@ -44,7 +42,7 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
     k = len(lam)
     if k == 0:
         return replace(dec, scaling="biorthogonal")
-    scale = max(float(np.max(np.abs(lam))), _EPS)
+    scale = float(np.max(np.abs(lam)))
     for i in range(k):
         for j in range(i + 1, k):
             if abs(lam[i] - lam[j]) <= _GAP_TOL * scale:
@@ -128,26 +126,24 @@ def scale_amplitudes(
             residual = _norm(phi @ d - target)
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
-        # so only m-by-k factors and y* y ever appear. y and t_mat are
-        # rescaled by reciprocal powers of two, which leaves y t_mat
-        # exactly as it was and keeps y* y in range.
+        # so only m-by-k factors and y* y ever appear. y, t_mat and the
+        # target each carry their own power of two, which keeps every
+        # product in range; the solution is scaled back exactly once.
         svd = dec.svd_of_x
         if pairs.y.shape != (phi.shape[0], svd.v.shape[0]):
             raise DimensionError(
                 "pairs do not match the decomposition (expected y of shape "
                 f"{(phi.shape[0], svd.v.shape[0])}, got {pairs.y.shape})"
             )
-        unit = _unit_scale(pairs.y)
-        y = pairs.y * unit
-        t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors / unit
+        t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
+        if convention == "x0":
+            t_mat = t_mat / lam[None, :]  # y t_mat = phi
+        y_unit, t_unit, unit = _unit_scale(pairs.y), _unit_scale(t_mat), _unit_scale(target)
+        y, t_mat, target = pairs.y * y_unit, t_mat * t_unit, target * unit
         gram = t_mat.conj().T @ (y.conj().T @ y) @ t_mat
-        rhs = t_mat.conj().T @ (y.conj().T @ target)
-        if convention == "y0":
-            d = np.linalg.solve(gram, rhs)
-            residual = _norm(y @ (t_mat @ d) - target)
-        else:
-            d = lam * np.linalg.solve(gram, rhs)
-            residual = _norm(y @ (t_mat @ (d / lam)) - target)
+        d = np.linalg.solve(gram, t_mat.conj().T @ (y.conj().T @ target))
+        residual = _norm(y @ (t_mat @ d) - target) / unit
+        d *= y_unit / unit * t_unit  # y t_mat d = target in the data's units
 
     return replace(
         dec,

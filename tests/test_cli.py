@@ -309,6 +309,41 @@ class TestLimCommand:
         assert green.shape[0] % 2 == 0
 
 
+# One-row series x, y whose operator y / x lies outside LAPACK geev's
+# scaling window (about [6.7e-139, 1.5e138]) or makes the amplitude
+# normal equations overflow unless each factor is rescaled.
+_FAR_SCALE_SERIES = [
+    (3e300, 1.0),
+    (1.0, 3e300),
+    (1.4144378726289916e-263, 1.0),
+    (6.994930334734994e100, 3.547170413168011e204),
+]
+
+
+class TestOperatorScale:
+    @pytest.mark.parametrize("x, y", _FAR_SCALE_SERIES)
+    def test_far_from_unit_operator_is_decomposed(self, tmp_path, x, y):
+        src = tmp_path / "z.csv"
+        src.write_text(f"{x!r},{y!r}\n")
+        amplitudes = {}
+        for scaling in ("unit-norm", "amplitude-qr", "amplitude-gram"):
+            out = tmp_path / scaling
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["dmd", "--input", str(src), "--output-dir", str(out),
+                             "--scaling", scaling])
+            assert code == 0, scaling
+            header, rows = _read_table(out / "eigenvalues.csv")
+            assert len(rows) == 1
+            lam = complex(rows[0][0], rows[0][1])
+            assert abs(lam - y / x) <= 1e-12 * (y / x)
+            if scaling != "unit-norm":
+                amplitudes[scaling] = complex(rows[0][header.index("amplitude_re")],
+                                              rows[0][header.index("amplitude_im")])
+        qr, gram = amplitudes["amplitude-qr"], amplitudes["amplitude-gram"]
+        assert abs(gram - qr) <= 1e-12 * abs(qr)
+
+
 class TestExitCodes:
     def test_usage_error(self, tmp_path, capsys):
         src = str(tmp_path / "z.csv")

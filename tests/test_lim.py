@@ -121,6 +121,16 @@ class TestEquivalence:
         assert rep.equivalent
         assert np.abs(rep.green - want).max() < 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200])
+    def test_equivalent_at_any_operator_scale(self, scale):
+        # The Frobenius norm of a tilde underflowed, so the bound read 0.0.
+        pairs, _ = _centered_pairs(61, n=5, m=30)
+        scaled = pairs_from_arrays(pairs.x, pairs.y * scale)
+        rep = lim_dmd_equivalence(scaled)
+        assert rep.equivalent
+        want = 1e-10 * scale * np.linalg.norm(reduced_operator(pairs).a_tilde)
+        assert rep.tol == pytest.approx(want)
+
     def test_propagator_spectrum_matches_decomposition(self):
         pairs, _ = _centered_pairs(8)
         model = lim_model(pairs)

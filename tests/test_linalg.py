@@ -10,6 +10,7 @@ from dmdkit import (
     eig_dense,
     reduced_svd,
 )
+from dmdkit import linalg
 from dmdkit.errors import DimensionError, EigensolverError
 from dmdkit.linalg import _norm
 
@@ -109,33 +110,41 @@ class TestEigDense:
     def test_left_vectors_satisfy_row_equation(self):
         rng = np.random.default_rng(7)
         m = rng.standard_normal((5, 5))
-        pairs = eig_dense(m, want_left=True)
+        pairs = eig_dense(m)
         assert isinstance(pairs, EigenPairs)
-        assert pairs.left_vectors is not None
         norm = np.linalg.norm(m)
         for lam, z in zip(pairs.values, pairs.left_vectors.T):
             row = z.conj().T @ m
             assert np.linalg.norm(row - lam * z.conj().T) < 1e-9 * norm
 
-    def test_left_vectors_absent_by_default(self):
-        pairs = eig_dense(np.eye(3))
-        assert pairs.left_vectors is None
-
-    def test_tight_tolerance_rejects(self):
+    def test_tight_tolerance_rejects(self, monkeypatch):
+        # Roundoff residuals of an 8x8 matrix stand far above 1e-18 norm(m).
+        monkeypatch.setattr(linalg, "_EIG_TOL", 1e-18)
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8))
-        with pytest.raises(EigensolverError):
-            eig_dense(m, eig_tol=1e-18)
+        with pytest.raises(EigensolverError, match="right eigenpair residual"):
+            eig_dense(m)
 
-    @pytest.mark.parametrize("value", [1.0 / 3e300, 1e-200])
+    @pytest.mark.parametrize("value", [1.0 / 3e300, 1e-200, 7e262, 3e300])
     def test_tiny_matrix_pairs_are_checked_relative_to_its_norm(self, value):
-        # Some LAPACK builds return 6.7e-139 as the eigenvalue of [[3.3e-301]];
-        # a residual bound floored at eps let that through as a valid pair.
-        try:
-            pairs = eig_dense(np.array([[value]]))
-        except EigensolverError:
-            return
-        assert abs(pairs.values[0] - value) <= 1e-9 * value
+        # Some LAPACK builds return 6.7e-139 as the eigenvalue of [[3.3e-301]]:
+        # geev's own rescale outside [6.7e-139, 1.5e138] loses its factor.
+        pairs = eig_dense(np.array([[value]]))
+        assert abs(pairs.values[0] - value) <= 1e-12 * value
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e150, 1e300])
+    def test_matrix_outside_the_lapack_window_keeps_its_spectrum(self, scale):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        want = np.sort_complex(eig_dense(m).values)
+        got = eig_dense(m * scale)
+        assert np.abs(np.sort_complex(got.values) / scale - want).max() <= (
+            1e-12 * np.abs(want).max()
+        )
+        # Eigenvectors do not depend on the scale of the matrix.
+        for lam, w, z in zip(got.values / scale, got.vectors.T, got.left_vectors.T):
+            assert np.linalg.norm(m @ w - lam * w) < 1e-9 * np.linalg.norm(m)
+            assert np.linalg.norm(z.conj() @ m - lam * z.conj()) < 1e-9 * np.linalg.norm(m)
 
 
 class TestNorm:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dmdkit import (
     build_hankel,
+    eig_dense,
     era_dmd_similarity,
     exact_dmd,
     exact_dmd_qr,
@@ -185,6 +186,20 @@ def test_era_is_similar_to_the_snapshot_decomposition(system):
 
 
 @PROFILE
+@given(stable_systems(), st.integers(min_value=-332, max_value=332))
+def test_era_map_residual_ignores_the_scale_of_the_shifted_hankel(system, exponent):
+    # s = 2^exponent spans about 1e-100...1e100; a power of two keeps
+    # the roundoff pattern, so the relative residual may only drift at
+    # roundoff, not shrink with s as an absolute residual would.
+    a, b, c = system
+    n = a.shape[0]
+    h, h_shift = build_hankel(markov_parameters(a, b, c, count=2 * n + 1), m_c=n, m_o=n)
+    base = era_dmd_similarity(h, h_shift).max_map_residual
+    scaled = era_dmd_similarity(h, np.ldexp(h_shift, exponent)).max_map_residual
+    assert base / 10 <= scaled <= 10 * base
+
+
+@PROFILE
 @given(stable_systems(), seeds)
 def test_lim_propagator_is_the_reduced_operator(system, seed):
     a = system[0]
@@ -207,6 +222,16 @@ def test_eigenvalues_ignore_the_data_scale(z, exponent):
         assert scaled[route].shape == lam.shape, route
         if lam.size:
             assert _matched_gap(scaled[route], lam) <= 1e-10, route
+
+
+@PROFILE
+@given(dims, seeds, st.integers(min_value=-150, max_value=150))
+def test_eig_dense_eigenvalues_scale_with_the_matrix(n, seed, exponent):
+    # 10^exponent reaches far outside LAPACK geev's own scaling window.
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    scale = 10.0**exponent
+    got = eig_dense(m * scale).values / scale
+    assert _matched_gap(got, eig_dense(m).values) <= 1e-12
 
 
 @PROFILE

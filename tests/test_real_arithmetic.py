@@ -175,7 +175,7 @@ class TestDtypeContract:
                 assert getattr(scaled, field).dtype == np.complex128, (name, field)
 
     def test_eig_dense_returns_complex_pairs_for_real_matrices(self):
-        pairs = eig_dense(np.diag([2.0, 1.0]), want_left=True)
+        pairs = eig_dense(np.diag([2.0, 1.0]))
         for arr in (pairs.values, pairs.vectors, pairs.left_vectors):
             assert arr.dtype == np.complex128
 

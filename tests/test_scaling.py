@@ -40,6 +40,18 @@ class TestBiorthogonal:
             scale_biorthogonal(dec)
 
 
+    @pytest.mark.parametrize("scale", [1e-30, 1e-200, 1e200])
+    def test_cluster_test_is_relative_at_any_spectrum_scale(self, scale):
+        # An eps floor on the largest magnitude refused 0.9e-30 and 0.5e-30
+        # as coincident.
+        pairs = pairs_from_arrays(np.eye(3), scale * np.diag([0.2, 0.5, 0.9]))
+        out = scale_biorthogonal(exact_dmd(pairs))
+        gram = out.adjoint_modes.conj().T @ out.modes
+        assert np.allclose(gram, np.eye(3), atol=1e-12)
+        double = pairs_from_arrays(np.eye(3), scale * np.diag([0.5, 0.5, 0.9]))
+        with pytest.raises(ValueError, match="coincide"):
+            scale_biorthogonal(exact_dmd(double))
+
 class TestAmplitudes:
     @pytest.mark.parametrize("method", ["qr", "gram"])
     @pytest.mark.parametrize("scale", [1e155, 1e-170])
@@ -99,6 +111,25 @@ class TestAmplitudes:
             dg = scale_amplitudes(base, pairs, method="gram")
             assert np.allclose(dq.amplitudes, dg.amplitudes, atol=1e-8)
             assert dg.scaling == "amplitude-gram"
+
+    @pytest.mark.parametrize("convention", ["y0", "x0"])
+    @pytest.mark.parametrize("series", [
+        (3e300, 1.0),
+        (1.0, 3e300),
+        (1.4144378726289916e-263, 1.0),
+        (6.994930334734994e100, 3.547170413168011e204),
+    ])
+    def test_gram_matches_qr_when_the_operator_is_far_from_unit_scale(self, series, convention):
+        # y* y, the product y (v / sigma) w or the right-hand side leaves
+        # the float64 range unless y, that product and the target are each
+        # rescaled on their own.
+        pairs = pairs_from_sequence(np.array([series]))
+        dec = exact_dmd(pairs)
+        dq, dg = (scale_amplitudes(dec, pairs, method=method, convention=convention)
+                  for method in ("qr", "gram"))
+        assert np.abs(dg.amplitudes - dq.amplitudes).max() <= 1e-12 * np.abs(dq.amplitudes).max()
+        target = series[1] if convention == "y0" else series[0]
+        assert dg.amplitude_residual <= 1e-12 * target
 
     def test_gram_residual_matches_explicit_evaluation(self):
         _, z = _linear_sequence(7, n=4, steps=12)
