@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _norm, _svd_threshold, eig_dense, reduced_svd
+from .linalg import ReducedSvd, _divide, _norm, _svd_threshold, eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -293,7 +293,7 @@ def _decompose(
     joint = algorithm in ("qr", "sequential")
     if not joint:
         zero = np.abs(lam) <= cut  # never set unless include_zero_modes
-        exact = _lift(op.b, vectors) / np.where(zero, 1.0, lam)
+        exact = _divide(_lift(op.b, vectors), np.where(zero, 1.0, lam))
         for j in np.flatnonzero(zero):
             exact[:, j] = _exact_zero_mode(op, vectors[:, j], y)
 

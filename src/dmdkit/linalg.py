@@ -73,6 +73,13 @@ def _norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a * unit)) / unit
 
 
+def _divide(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``a / lam`` also for subnormal lam, where numpy's complex quotient overflows."""
+    if np.all(np.abs(lam) >= np.finfo(np.float64).tiny):
+        return a / lam
+    return a / (lam * 2.0**64) * 2.0**64
+
+
 @dataclass(frozen=True)
 class ReducedSvd:
     """Rank-truncated SVD ``x ~= u @ diag(sigma) @ v.conj().T``.
@@ -175,8 +182,9 @@ def _max_residual(m: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> flo
     does not depend on the scale of m; a zero m reads the plain residual.
     """
     unit = _unit_scale(m)
-    resid = np.linalg.norm(m * unit @ vectors - vectors * (unit * values), axis=0).max()
-    return float(resid) / (_norm(m) * unit or 1.0)
+    mu = m * unit
+    resid = np.linalg.norm(mu @ vectors - vectors * (unit * values), axis=0).max()
+    return float(resid) / (float(np.linalg.norm(mu)) or 1.0)
 
 
 def eig_dense(m) -> EigenPairs:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dmd import DmdDecomposition
 from .errors import DimensionError
-from .linalg import _norm, _unit_scale
+from .linalg import _divide, _norm, _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
@@ -119,7 +119,7 @@ def scale_amplitudes(
     if method == "qr":
         if convention == "y0":
             t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
-            d = t / lam
+            d = _divide(t, lam)
             residual = _norm(phi @ (lam * d) - target)
         else:
             d, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
@@ -127,8 +127,8 @@ def scale_amplitudes(
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
         # so only m-by-k factors and y* y ever appear. y, t_mat and the
-        # target each carry their own power of two, which keeps every
-        # product in range; the solution is scaled back exactly once.
+        # target each carry their own power of two; the solution is scaled
+        # back once, by ldexp, as their quotient may lie outside float64.
         svd = dec.svd_of_x
         if pairs.y.shape != (phi.shape[0], svd.v.shape[0]):
             raise DimensionError(
@@ -137,13 +137,14 @@ def scale_amplitudes(
             )
         t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
         if convention == "x0":
-            t_mat = t_mat / lam[None, :]  # y t_mat = phi
+            t_mat = _divide(t_mat, lam[None, :])  # y t_mat = phi
         y_unit, t_unit, unit = _unit_scale(pairs.y), _unit_scale(t_mat), _unit_scale(target)
         y, t_mat, target = pairs.y * y_unit, t_mat * t_unit, target * unit
         gram = t_mat.conj().T @ (y.conj().T @ y) @ t_mat
         d = np.linalg.solve(gram, t_mat.conj().T @ (y.conj().T @ target))
         residual = _norm(y @ (t_mat @ d) - target) / unit
-        d *= y_unit / unit * t_unit  # y t_mat d = target in the data's units
+        k = int(np.log2(y_unit) + np.log2(t_unit) - np.log2(unit))
+        d = np.ldexp(d.view(np.float64), k).view(np.complex128)
 
     return replace(
         dec,

@@ -311,12 +311,14 @@ class TestLimCommand:
 
 # One-row series x, y whose operator y / x lies outside LAPACK geev's
 # scaling window (about [6.7e-139, 1.5e138]) or makes the amplitude
-# normal equations overflow unless each factor is rescaled.
+# normal equations overflow unless each factor is rescaled; the last
+# one has a subnormal eigenvalue.
 _FAR_SCALE_SERIES = [
     (3e300, 1.0),
     (1.0, 3e300),
     (1.4144378726289916e-263, 1.0),
     (6.994930334734994e100, 3.547170413168011e204),
+    (1e300, 1e-10),
 ]
 
 

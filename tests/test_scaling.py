@@ -33,24 +33,22 @@ class TestBiorthogonal:
         out = scale_biorthogonal(exact_dmd(pairs_from_sequence(z)))
         assert np.allclose(np.linalg.norm(out.exact_modes, axis=0), 1.0, atol=1e-12)
 
-    def test_refuses_coincident_eigenvalues(self):
-        pairs = pairs_from_arrays(np.eye(3), np.diag([0.5, 0.5, 0.9]))
+    @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e-200, 1e200])
+    def test_refuses_coincident_eigenvalues(self, scale):
+        pairs = pairs_from_arrays(np.eye(3), scale * np.diag([0.5, 0.5, 0.9]))
         dec = exact_dmd(pairs)
         with pytest.raises(ValueError, match="coincide"):
             scale_biorthogonal(dec)
 
-
     @pytest.mark.parametrize("scale", [1e-30, 1e-200, 1e200])
-    def test_cluster_test_is_relative_at_any_spectrum_scale(self, scale):
+    def test_distinct_eigenvalues_pass_at_any_spectrum_scale(self, scale):
         # An eps floor on the largest magnitude refused 0.9e-30 and 0.5e-30
         # as coincident.
         pairs = pairs_from_arrays(np.eye(3), scale * np.diag([0.2, 0.5, 0.9]))
         out = scale_biorthogonal(exact_dmd(pairs))
         gram = out.adjoint_modes.conj().T @ out.modes
         assert np.allclose(gram, np.eye(3), atol=1e-12)
-        double = pairs_from_arrays(np.eye(3), scale * np.diag([0.5, 0.5, 0.9]))
-        with pytest.raises(ValueError, match="coincide"):
-            scale_biorthogonal(exact_dmd(double))
+
 
 class TestAmplitudes:
     @pytest.mark.parametrize("method", ["qr", "gram"])
@@ -118,11 +116,14 @@ class TestAmplitudes:
         (1.0, 3e300),
         (1.4144378726289916e-263, 1.0),
         (6.994930334734994e100, 3.547170413168011e204),
+        (1e300, 1e-10),
     ])
     def test_gram_matches_qr_when_the_operator_is_far_from_unit_scale(self, series, convention):
         # y* y, the product y (v / sigma) w or the right-hand side leaves
         # the float64 range unless y, that product and the target are each
-        # rescaled on their own.
+        # rescaled on their own. At 1e300, 1e-10 the eigenvalue is
+        # subnormal: numpy's complex quotient by it overflows, and so does
+        # the factor that scales the gram solution back.
         pairs = pairs_from_sequence(np.array([series]))
         dec = exact_dmd(pairs)
         dq, dg = (scale_amplitudes(dec, pairs, method=method, convention=convention)
