@@ -55,6 +55,7 @@ from .errors import (
 )
 from .linalg import eig_dense
 from .pairs import (
+    _series,
     delay_embed,
     pairs_from_arrays,
     pairs_from_sequence,
@@ -191,8 +192,7 @@ def _decompose(config: argparse.Namespace, pairs):
         return projected_dmd(pairs, **kwargs)
     if config.algorithm == "qr":
         return exact_dmd_qr(pairs, **kwargs)
-    z = np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
-    return exact_dmd_sequential(z, dt=config.dt, **kwargs)
+    return exact_dmd_sequential(_series(pairs), dt=config.dt, **kwargs)
 
 
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:

@@ -37,25 +37,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MarkovSequence:
-    """Impulse-response blocks at a fixed sampling stride.
+    """Impulse-response blocks sampled at anchors P apart.
 
     ``params[k]`` holds C A^(k P) B and ``shifted[k]`` its one-step
-    advance C A^(k P + 1) B, each a (q, p) block; the two lists have
-    equal length. The shift by a single fine step, not by P, is what
-    lets the realization estimate the one-step operator.
+    advance C A^(k P + 1) B; the two lists have equal length. The shift
+    by a single fine step, not by P, is what lets the realization
+    estimate the one-step operator. The blocks carry their own (q, p)
+    shape, which :func:`build_hankel` reads and checks; P is not
+    recorded, as nothing downstream depends on it.
     """
 
     params: tuple[np.ndarray, ...]
     shifted: tuple[np.ndarray, ...]
-    q: int
-    p: int
-    stride: int = 1
 
     def __post_init__(self):
         if len(self.params) == 0 or len(self.params) != len(self.shifted):
             raise DimensionError("params and shifted must be equal-length and nonempty")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 def markov_parameters(a, b, c, *, count: int, stride: int = 1) -> MarkovSequence:
@@ -104,9 +101,6 @@ def markov_from_blocks(blocks, *, stride: int = 1, count: int | None = None) -> 
     return MarkovSequence(
         params=tuple(pairs.x.T.reshape(-1, q, p)),
         shifted=tuple(pairs.y.T.reshape(-1, q, p)),
-        q=q,
-        p=p,
-        stride=stride,
     )
 
 
@@ -119,7 +113,8 @@ def build_hankel(
     shifted[i + j]; i runs over m_o + 1 block rows and j over m_c + 1
     block columns. The split must use the whole sequence:
     m_c + m_o = len(params) - 1. By default the rows take the balanced
-    share m_o = (len - 1) // 2.
+    share m_o = (len - 1) // 2. Every block must have the same (q, p)
+    shape, which sets the block size of both matrices.
     """
     m = len(seq.params)
     if m_o is None and m_c is None:
@@ -137,12 +132,16 @@ def build_hankel(
         raise DimensionError(
             f"m_c + m_o must equal len(params) - 1 = {m - 1}, got {m_c} + {m_o}"
         )
-    dtype = _working_dtype(*seq.params, *seq.shifted)
+    blocks = (*seq.params, *seq.shifted)
+    try:
+        stack = np.asarray(blocks, dtype=_working_dtype(*blocks))
+        _, q, p = stack.shape
+    except ValueError as exc:
+        raise DimensionError("Markov blocks must be 2-D arrays of one shape") from exc
     index = np.add.outer(np.arange(m_o + 1), np.arange(m_c + 1))
-    shape = ((m_o + 1) * seq.q, (m_c + 1) * seq.p)
+    shape = ((m_o + 1) * q, (m_c + 1) * p)
     h, h_shift = (
-        np.asarray(blocks, dtype=dtype)[index].swapaxes(1, 2).reshape(shape)
-        for blocks in (seq.params, seq.shifted)
+        half[index].swapaxes(1, 2).reshape(shape) for half in (stack[:m], stack[m:])
     )
     return h, h_shift
 
@@ -179,7 +178,6 @@ def era_realize(
     p: int,
     q: int,
     *,
-    d=None,
     rtol: float | None = None,
     atol: float | None = None,
 ) -> EraRealization:
@@ -187,20 +185,14 @@ def era_realize(
 
     ``order=None`` takes the full numerical rank of H. B_r reads off
     the first p columns of sqrt(S) V*, C_r the first q rows of
-    U sqrt(S); the feedthrough passes through unchanged (zero block
-    when not supplied, since the Markov sequence starts at C B).
+    U sqrt(S); D_r is the zero (q, p) block, since the Markov sequence
+    starts at C B and so holds no feedthrough.
     """
     h, hs = _hankel_pair(h, h_shift)
     if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
-    if d is None:
-        d_r = np.zeros((q, p), dtype=h.dtype)
-    else:
-        d_r = _as_matrix(np.atleast_2d(d), "d")
-        if d_r.shape != (q, p):
-            raise DimensionError(f"d has shape {d_r.shape}, expected {(q, p)}")
     svd = reduced_svd(h, rtol=rtol, atol=atol)
     r = svd.rank if order is None else int(order)
     if r < 1 or r > svd.rank:
@@ -211,6 +203,7 @@ def era_realize(
     a_r = (u.conj().T @ hs @ v) / np.outer(root, root)
     b_r = (root[:, None] * v.conj().T)[:, :p]
     c_r = (u * root[None, :])[:q, :]
+    d_r = np.zeros((q, p), dtype=h.dtype)
     return EraRealization(
         a_r=a_r, b_r=b_r, c_r=c_r, d_r=d_r, order=r, singular_values=svd.sigma.copy()
     )

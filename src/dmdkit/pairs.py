@@ -7,6 +7,11 @@ ways such pairs arise: a single time series, a strided subsample of a
 finer series, several independent runs, or pre-matched matrices. The
 strided rule also picks the Markov blocks of :mod:`dmdkit.era`.
 
+Pairs carry no record of how they were built. Whether they form one
+time-ordered series, y_k = x_{k+1}, is read from the data itself
+whenever it matters (delay embedding, amplitude fitting), so pairs from
+any constructor, centred or not, qualify when their columns line up.
+
 Columns are snapshots everywhere in this package.
 """
 
@@ -30,9 +35,6 @@ __all__ = [
     "delay_embed",
     "subtract_mean",
 ]
-
-_PROVENANCES = ("sequential", "strided", "concatenated", "generic", "delay-embedded")
-
 
 def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
     """Coerce a snapshot collection to an (n, count) matrix.
@@ -59,19 +61,19 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
 class SnapshotPairs:
     """Matched snapshot matrices x, y with y_k the image of x_k.
 
+    Nothing else is recorded: whether the pairs form one time series
+    is read from x and y where it matters.
+
     Attributes:
         x: (n, m) matrix of pre-images.
         y: (n, m) matrix of images, same shape as x.
         dt: time advanced by one application of the map, if known;
             finite and positive when given.
-        provenance: how the pairing was built; one of "sequential",
-            "strided", "concatenated", "generic", "delay-embedded".
     """
 
     x: np.ndarray
     y: np.ndarray
     dt: float | None = None
-    provenance: str = "generic"
 
     def __post_init__(self):
         if self.x.shape != self.y.shape:
@@ -80,8 +82,6 @@ class SnapshotPairs:
             )
         if self.x.ndim != 2 or self.x.shape[1] < 1:
             raise DimensionError("pairs need at least one column")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive when given")
 
@@ -95,10 +95,8 @@ class SnapshotPairs:
 
 
 def pairs_from_arrays(x, y, *, dt: float | None = None) -> SnapshotPairs:
-    """Wrap pre-matched matrices as generic pairs."""
-    return SnapshotPairs(
-        x=snapshot_matrix(x, "x"), y=snapshot_matrix(y, "y"), dt=dt, provenance="generic"
-    )
+    """Wrap pre-matched matrices as pairs."""
+    return SnapshotPairs(x=snapshot_matrix(x, "x"), y=snapshot_matrix(y, "y"), dt=dt)
 
 
 def pairs_from_sequence(z, *, dt: float | None = None) -> SnapshotPairs:
@@ -106,7 +104,7 @@ def pairs_from_sequence(z, *, dt: float | None = None) -> SnapshotPairs:
     mat = snapshot_matrix(z)
     if mat.shape[1] < 2:
         raise DimensionError("a sequence needs at least 2 snapshots")
-    return SnapshotPairs(x=mat[:, :-1], y=mat[:, 1:], dt=dt, provenance="sequential")
+    return SnapshotPairs(x=mat[:, :-1], y=mat[:, 1:], dt=dt)
 
 
 def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | None = None) -> SnapshotPairs:
@@ -132,9 +130,7 @@ def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | 
             f"count {m} outside 1..{max_count} for {total} snapshots at stride {stride}"
         )
     anchors = stride * np.arange(m)
-    return SnapshotPairs(
-        x=mat[:, anchors], y=mat[:, anchors + 1], dt=dt, provenance="strided"
-    )
+    return SnapshotPairs(x=mat[:, anchors], y=mat[:, anchors + 1], dt=dt)
 
 
 def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> SnapshotPairs:
@@ -156,7 +152,6 @@ def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> S
         x=np.concatenate([traj[:, :-1] for traj in trajectories], axis=1),
         y=np.concatenate([traj[:, 1:] for traj in trajectories], axis=1),
         dt=dt,
-        provenance="concatenated",
     )
 
 
@@ -179,24 +174,30 @@ def embed_sequence(z, depth: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:
-    """Delay-embed sequential pairs with the given stacking depth.
+def _series(pairs: SnapshotPairs) -> np.ndarray:
+    """The time series z with x = z[:, :-1] and y = z[:, 1:].
 
-    The underlying series is recovered from the pairs (possible exactly
-    for sequential provenance), embedded, and re-paired; the column
-    count shrinks by depth - 1. depth=1 returns the input unchanged.
+    Pairs form one series when each image is the next pre-image,
+    x[:, 1:] == y[:, :-1] exactly; any other pairs raise ValueError.
+    """
+    if not np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
+        raise ValueError(
+            "pairs are not one time-ordered series: x[:, 1:] differs from y[:, :-1]"
+        )
+    return np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
+
+
+def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:
+    """Delay-embed time-ordered pairs with the given stacking depth.
+
+    The underlying series is recovered from the pairs, which must form
+    one (x[:, 1:] == y[:, :-1] exactly), embedded, and re-paired; the
+    column count shrinks by depth - 1. depth=1 returns the input
+    unchanged.
     """
     if depth == 1:
         return pairs
-    if pairs.provenance != "sequential":
-        raise ValueError(
-            "delay_embed needs sequential pairs; got provenance "
-            f"{pairs.provenance!r} (shifted copies are unavailable)"
-        )
-    z = np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
-    embedded = embed_sequence(z, depth)
-    out = pairs_from_sequence(embedded, dt=pairs.dt)
-    return replace(out, provenance="delay-embedded")
+    return pairs_from_sequence(embed_sequence(_series(pairs), depth), dt=pairs.dt)
 
 
 def subtract_mean(pairs: SnapshotPairs, mode: str = "x-mean") -> tuple[SnapshotPairs, np.ndarray]:

@@ -7,8 +7,9 @@ the two other useful conventions; eigenvalues are never touched.
 
 * :func:`scale_biorthogonal` - adjoint modes rescaled against the
   modes, so the cross Gram matrix becomes the identity.
-* :func:`scale_amplitudes` - least-squares coefficients expanding a
-  reference snapshot in the modes, stored alongside the decomposition.
+* :func:`scale_amplitudes` - least-squares coefficients expanding the
+  first image snapshot y_0 in the modes, stored alongside the
+  decomposition.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .dmd import DmdDecomposition
 from .errors import DimensionError
 from .linalg import _divide, _norm, _unit_scale
-from .pairs import SnapshotPairs
+from .pairs import SnapshotPairs, _series
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
 
@@ -64,18 +65,15 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
 
 
 def scale_amplitudes(
-    dec: DmdDecomposition,
-    pairs: SnapshotPairs,
-    *,
-    method: str = "qr",
-    convention: str = "y0",
+    dec: DmdDecomposition, pairs: SnapshotPairs, *, method: str = "qr"
 ) -> DmdDecomposition:
-    """Fit per-mode amplitudes to a reference snapshot.
+    """Fit per-mode amplitudes to the first image snapshot y_0.
 
-    Convention "y0" solves phi_j lambda_j d_j summed = y_0 (the first
-    image snapshot), so that propagating d from step 0 lands on the
-    observed step 1; convention "x0" expands the first pre-image
-    instead.
+    Solves phi_j lambda_j d_j summed = y_0, so that propagating d from
+    step 0 lands on the observed step 1. The pairs must form one time
+    series (x[:, 1:] == y[:, :-1]), and every eigenvalue must be
+    nonzero. To expand the first pre-image x_0 instead, use
+    :func:`~dmdkit.dmd.reconstruct`.
 
     Method "qr" solves the least-squares problem through an orthogonal
     factorization of the mode matrix. Method "gram" uses the normal
@@ -88,42 +86,31 @@ def scale_amplitudes(
     returned decomposition; an unreachable reference simply shows up as
     a large residual.
     """
-    if pairs.provenance not in ("sequential", "delay-embedded"):
-        raise ValueError(
-            "amplitude scaling needs time-ordered pairs; got provenance "
-            f"{pairs.provenance!r}"
-        )
-    if convention not in ("y0", "x0"):
-        raise ValueError(f"unknown convention {convention!r}")
+    _series(pairs)
     if method not in ("qr", "gram"):
         raise ValueError(f"unknown method {method!r}")
     if dec.n_modes == 0:
         raise ValueError("decomposition has no modes to scale")
-    has_zero = bool(np.any(np.abs(dec.eigenvalues) == 0.0))
-    if has_zero and (convention == "y0" or method == "gram"):
+    lam = dec.eigenvalues
+    if np.any(lam == 0):
         raise ValueError(
             "amplitudes through the eigenvalue inverse are undefined for "
-            "zero eigenvalues; recompute without zero modes (or use "
-            "method='qr' with convention='x0')"
+            "zero eigenvalues; recompute without zero modes, or expand x_0 "
+            "with reconstruct"
         )
 
-    target = pairs.y[:, 0] if convention == "y0" else pairs.x[:, 0]
+    target = pairs.y[:, 0]
     if target.shape[0] != dec.exact_modes.shape[0]:
         raise DimensionError(
             f"reference snapshot has {target.shape[0]} entries, modes have "
             f"{dec.exact_modes.shape[0]}"
         )
 
-    lam = dec.eigenvalues
     phi = dec.exact_modes
     if method == "qr":
-        if convention == "y0":
-            t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
-            d = _divide(t, lam)
-            residual = _norm(phi @ (lam * d) - target)
-        else:
-            d, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
-            residual = _norm(phi @ d - target)
+        t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
+        d = _divide(t, lam)
+        residual = _norm(phi @ (lam * d) - target)
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
         # so only m-by-k factors and y* y ever appear. y, t_mat and the
@@ -136,8 +123,6 @@ def scale_amplitudes(
                 f"{(phi.shape[0], svd.v.shape[0])}, got {pairs.y.shape})"
             )
         t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
-        if convention == "x0":
-            t_mat = _divide(t_mat, lam[None, :])  # y t_mat = phi
         y_unit, t_unit, unit = _unit_scale(pairs.y), _unit_scale(t_mat), _unit_scale(target)
         y, t_mat, target = pairs.y * y_unit, t_mat * t_unit, target * unit
         gram = t_mat.conj().T @ (y.conj().T @ y) @ t_mat

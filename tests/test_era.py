@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dmdkit import (
+    MarkovSequence,
     build_hankel,
     era_dmd_similarity,
     era_realize,
@@ -37,7 +38,7 @@ class TestMarkovParameters:
     def test_one_dimensional_b_and_c_are_promoted(self):
         a = np.diag([0.9, -0.4])
         seq = markov_parameters(a, np.ones(2), np.ones(2), count=4)
-        assert seq.p == 1 and seq.q == 1
+        assert seq.params[0].shape == (1, 1)
         assert np.allclose(seq.params[0], [[2.0]])
         assert np.allclose(seq.params[1], [[0.5]])
 
@@ -46,7 +47,6 @@ class TestMarkovParameters:
         a, b, c = _random_stable_system(rng, 3)
         plain = markov_parameters(a, b, c, count=9)
         strided = markov_parameters(a, b, c, count=4, stride=2)
-        assert strided.stride == 2
         for k in range(4):
             assert np.allclose(strided.params[k], plain.params[2 * k], atol=1e-12)
             assert np.allclose(strided.shifted[k], plain.params[2 * k + 1], atol=1e-12)
@@ -59,7 +59,7 @@ class TestMarkovParameters:
 
     def test_vector_blocks_are_single_rows(self):
         seq = markov_from_blocks([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        assert (seq.q, seq.p) == (1, 2)
+        assert seq.params[0].shape == (1, 2)
         assert np.array_equal(seq.shifted[1], [[5.0, 6.0]])
 
     @pytest.mark.parametrize("blocks", [
@@ -100,6 +100,13 @@ class TestHankel:
         with pytest.raises(DimensionError):
             build_hankel(seq, m_c=1, m_o=2)
 
+    @pytest.mark.parametrize("shapes", [[(2, 2), (2, 3)], [(2, 2), (3, 2)], [(2,), (2,)]])
+    def test_blocks_of_mixed_or_flat_shapes_are_refused(self, shapes):
+        blocks = tuple(np.ones(shapes[k % 2]) for k in range(3))
+        seq = MarkovSequence(params=blocks, shifted=blocks)
+        with pytest.raises(DimensionError, match="one shape"):
+            build_hankel(seq)
+
     def test_block_layout(self):
         rng = np.random.default_rng(2)
         a, b, c = _random_stable_system(rng, 3, p=2, q=3)
@@ -130,20 +137,13 @@ class TestRealization:
         assert abs(real.d_r[0, 0]) == 0.0
         assert abs(real.singular_values[0] - 1.25) < 1e-12
 
-    def test_passthrough_term(self):
-        h = np.array([[1.0, 0.5], [0.5, 0.25]])
-        h_shift = np.array([[0.5, 0.25], [0.25, 0.125]])
-        real = era_realize(h, h_shift, 1, 1, 1, d=np.array([[2.5]]))
-        assert real.d_r[0, 0] == 2.5
-
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("where", ["h_shift", "d"])
-    def test_non_finite_input_is_refused(self, where, value):
+    def test_non_finite_input_is_refused(self, value):
         h = np.array([[1.0, 0.5], [0.5, 0.25]])
-        inputs = {"h_shift": 0.5 * h, "d": np.zeros((1, 1))}
-        inputs[where][0, -1] = value
+        h_shift = 0.5 * h
+        h_shift[0, -1] = value
         with pytest.raises(ValueError, match="non-finite"):
-            era_realize(h, inputs["h_shift"], 1, 1, 1, d=inputs["d"])
+            era_realize(h, h_shift, 1, 1, 1)
 
     def test_order_bounds(self):
         h = np.array([[1.0, 0.5], [0.5, 0.25]])

@@ -7,14 +7,17 @@ from dmdkit import (
     SnapshotPairs,
     delay_embed,
     embed_sequence,
+    exact_dmd,
     pairs_from_arrays,
     pairs_from_sequence,
     pairs_from_strided,
     pairs_from_trajectories,
+    scale_amplitudes,
     snapshot_matrix,
     subtract_mean,
 )
 from dmdkit.errors import DimensionError
+from dmdkit.pairs import _series
 
 
 def test_snapshot_matrix_accepts_list_of_vectors():
@@ -36,7 +39,8 @@ def test_pairs_from_arrays_basic():
     assert pairs.n_states == 3
     assert pairs.n_pairs == 3
     assert pairs.dt == 0.5
-    assert pairs.provenance == "generic"
+    with pytest.raises(ValueError, match="time-ordered"):
+        _series(pairs)  # y_0 = 2 e_1 is not x_1 = e_2
 
 
 def test_pairs_from_arrays_shape_mismatch():
@@ -46,7 +50,7 @@ def test_pairs_from_arrays_shape_mismatch():
 
 def test_pairs_from_sequence_scalar_halving():
     pairs = pairs_from_sequence([1.0, 0.5, 0.25], dt=2.0)
-    assert pairs.provenance == "sequential"
+    assert np.array_equal(_series(pairs), [[1.0, 0.5, 0.25]])
     assert np.allclose(pairs.x, [[1.0, 0.5]])
     assert np.allclose(pairs.y, [[0.5, 0.25]])
     assert pairs.dt == 2.0
@@ -60,7 +64,8 @@ def test_pairs_from_sequence_needs_two_snapshots():
 def test_pairs_from_strided_anchor_layout():
     z = np.arange(10.0)[None, :]
     pairs = pairs_from_strided(z, 3)
-    assert pairs.provenance == "strided"
+    with pytest.raises(ValueError, match="time-ordered"):
+        _series(pairs)  # images 1, 4 are not the next anchors 3, 6
     assert np.allclose(pairs.x, [[0.0, 3.0, 6.0]])
     assert np.allclose(pairs.y, [[1.0, 4.0, 7.0]])
 
@@ -86,7 +91,8 @@ def test_pairs_from_trajectories_concatenates_runs():
     rng = np.random.default_rng(1)
     runs = [rng.standard_normal((3, 5)), rng.standard_normal((3, 4))]
     pairs = pairs_from_trajectories(runs)
-    assert pairs.provenance == "concatenated"
+    with pytest.raises(ValueError, match="time-ordered"):
+        _series(pairs)  # the last image of run 0 is not the first state of run 1
     assert pairs.n_pairs == (5 - 1) + (4 - 1)
     assert np.array_equal(pairs.x[:, :4], runs[0][:, :4])
     assert np.array_equal(pairs.y[:, 4:], runs[1][:, 1:])
@@ -114,7 +120,7 @@ def test_delay_embed_structure():
     z = rng.standard_normal((2, 8))
     pairs = pairs_from_sequence(z, dt=0.1)
     emb = delay_embed(pairs, 2)
-    assert emb.provenance == "delay-embedded"
+    assert np.array_equal(_series(emb), embed_sequence(z, 2))
     assert emb.n_states == 4
     assert emb.n_pairs == 6
     assert np.allclose(emb.x[:2], z[:, :6])
@@ -134,6 +140,41 @@ def test_delay_embed_rejects_generic_pairs():
     pairs = pairs_from_arrays(np.eye(3), np.eye(3))
     with pytest.raises(ValueError):
         delay_embed(pairs, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda z: pairs_from_strided(z, 1),
+    lambda z: pairs_from_arrays(z[:, :-1], z[:, 1:]),
+    lambda z: pairs_from_trajectories([z]),
+], ids=["strided", "shifted arrays", "one run"])
+def test_time_order_is_read_from_the_data(build):
+    z = np.random.default_rng(6).standard_normal((3, 12))
+    pairs, reference = build(z), pairs_from_sequence(z)
+    emb, want = delay_embed(pairs, 3), delay_embed(reference, 3)
+    assert np.array_equal(emb.x, want.x) and np.array_equal(emb.y, want.y)
+    got, want = (scale_amplitudes(exact_dmd(p), p) for p in (pairs, reference))
+    np.testing.assert_allclose(got.amplitudes, want.amplitudes, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["x-mean", "pooled-mean"])
+def test_centred_pairs_stay_time_ordered(mode):
+    z = np.random.default_rng(7).standard_normal((3, 12)) + 4.0
+    centred, mean = subtract_mean(pairs_from_arrays(z[:, :-1], z[:, 1:]), mode)
+    assert np.array_equal(_series(centred), z - mean[:, None])
+    emb = delay_embed(centred, 2)
+    assert np.array_equal(emb.x, embed_sequence(z - mean[:, None], 2)[:, :-1])
+    assert scale_amplitudes(exact_dmd(centred), centred).amplitudes is not None
+
+
+def test_pairs_that_are_not_one_series_are_refused():
+    rng = np.random.default_rng(8)
+    unrelated = pairs_from_arrays(rng.standard_normal((3, 6)), rng.standard_normal((3, 6)))
+    two_runs = pairs_from_trajectories([rng.standard_normal((3, 5)), rng.standard_normal((3, 4))])
+    for pairs in (unrelated, two_runs):
+        with pytest.raises(ValueError, match="time-ordered"):
+            delay_embed(pairs, 2)
+        with pytest.raises(ValueError, match="time-ordered"):
+            scale_amplitudes(exact_dmd(pairs), pairs)
 
 
 def test_subtract_mean_x_mode():

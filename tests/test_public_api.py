@@ -1,6 +1,15 @@
-"""The package namespace exports exactly the public names of its modules."""
+"""The package namespace exports exactly the public names of its modules,
+and the README's Python example runs as written."""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import dmdkit
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = {
     "ConfigError", "ConsistencyReport", "DimensionError", "DmdDecomposition",
@@ -29,3 +38,15 @@ def test_all_lists_each_public_name_once():
 def test_every_public_name_resolves():
     for name in dmdkit.__all__:
         assert hasattr(dmdkit, name), name
+
+
+def test_readme_python_example_runs_without_warnings():
+    (code,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    src = str(Path(dmdkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
