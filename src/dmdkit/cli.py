@@ -22,8 +22,10 @@ Exit codes
     4 dimension mismatch, 5 rank-zero data, 6 domain refusal
     (inconsistent request the library rejected, including nan/inf
     input values, a result that overflows float64, a non-finite --dt
-    or --m-weight and a nan --rank-rtol, --rank-atol or --zero-tol),
-    1 unexpected error.
+    or --m-weight, a nan --rank-rtol, --rank-atol or --zero-tol, a
+    --stride or --delay below 1, and pairs that are not one time series
+    where --delay, --algorithm sequential or an amplitude scaling needs
+    one), 1 unexpected error.
 """
 
 from __future__ import annotations
@@ -138,42 +140,36 @@ def _tol_str(value: float | None) -> str:
     return "default" if value is None else _fmt(value)
 
 
-def _load_inputs(config: argparse.Namespace) -> list[np.ndarray]:
-    if not config.inputs:
-        raise ConfigError("at least one --input is required")
-    return [read_matrix(p, config.header) for p in config.inputs]
+def _build_pairs(config: argparse.Namespace):
+    """Read the inputs as snapshot pairs, delay-embedded, then centred.
 
-
-def _validate_pairing_flags(config: argparse.Namespace) -> None:
+    Only the flag combinations are checked here. The --stride and
+    --delay values and the time order that --delay needs are left to
+    :mod:`dmdkit.pairs`.
+    """
     if config.pairing == "strided":
         if config.stride is None:
             raise ConfigError("--pairing strided requires --stride")
-        if config.stride < 1:
-            raise ConfigError("--stride must be >= 1")
     elif config.stride is not None:
         raise ConfigError("--stride only applies to --pairing strided")
-    if config.delay < 1:
-        raise ConfigError("--delay must be >= 1")
-    if config.delay > 1 and config.pairing != "sequential":
-        raise ConfigError("--delay needs --pairing sequential (shifted copies)")
     n_inputs = len(config.inputs)
     if config.pairing == "paired":
         if n_inputs != 2:
             raise ConfigError("--pairing paired takes exactly two inputs (x, y)")
     elif config.pairing != "multi-run" and n_inputs != 1:
         raise ConfigError(f"--pairing {config.pairing} takes exactly one input")
-
-
-def _build_pairs(config: argparse.Namespace, arrays: list[np.ndarray]):
-    """The snapshot pairs after delay embedding and centering."""
+    if not n_inputs:
+        raise ConfigError("at least one --input is required")
+    arrays = [read_matrix(p, config.header) for p in config.inputs]
     if config.pairing == "sequential":
-        pairs = delay_embed(pairs_from_sequence(arrays[0], dt=config.dt), config.delay)
+        pairs = pairs_from_sequence(arrays[0], dt=config.dt)
     elif config.pairing == "strided":
         pairs = pairs_from_strided(arrays[0], config.stride, dt=config.dt)
     elif config.pairing == "paired":
         pairs = pairs_from_arrays(arrays[0], arrays[1], dt=config.dt)
     else:
         pairs = pairs_from_trajectories(arrays, dt=config.dt)
+    pairs = delay_embed(pairs, config.delay)
     if config.mean == "none":
         return pairs
     return subtract_mean(pairs, "x-mean" if config.mean == "x" else "pooled-mean")[0]
@@ -192,7 +188,7 @@ def _decompose(config: argparse.Namespace, pairs):
         return projected_dmd(pairs, **kwargs)
     if config.algorithm == "qr":
         return exact_dmd_qr(pairs, **kwargs)
-    return exact_dmd_sequential(_series(pairs), dt=config.dt, **kwargs)
+    return exact_dmd_sequential(_series(pairs), **kwargs)
 
 
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -213,19 +209,12 @@ def _write_eigenvalue_table(path: str, lam: np.ndarray, columns: dict) -> None:
 
 
 def _run_dmd(config: argparse.Namespace) -> None:
-    _validate_pairing_flags(config)
-    if config.algorithm == "sequential" and config.pairing != "sequential":
-        raise ConfigError("--algorithm sequential needs --pairing sequential")
-    amplitude = config.scaling != "unit-norm"  # every decomposition is unit-norm
-    if amplitude and config.pairing != "sequential":
-        raise ConfigError("amplitude scaling needs --pairing sequential")
-    arrays = _load_inputs(config)
-    pairs = _build_pairs(config, arrays)
+    pairs = _build_pairs(config)
     consistency = linear_consistency(
         pairs, rtol=config.rank_rtol, atol=config.rank_atol
     )
     dec = _decompose(config, pairs)
-    if amplitude:
+    if config.scaling != "unit-norm":  # every decomposition is unit-norm
         dec = scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
     points = spectrum(dec, dt=config.dt, m_weight=config.m_weight)
 
@@ -278,9 +267,7 @@ def _run_dmd(config: argparse.Namespace) -> None:
 
 
 def _run_check(config: argparse.Namespace) -> None:
-    _validate_pairing_flags(config)
-    arrays = _load_inputs(config)
-    pairs = _build_pairs(config, arrays)
+    pairs = _build_pairs(config)
     report = linear_consistency(pairs, rtol=config.rank_rtol, atol=config.rank_atol)
     lines = [
         "command: check",
@@ -312,9 +299,6 @@ def _run_era(config: argparse.Namespace) -> None:
         raise ConfigError("era takes exactly one --input (Markov CSV)")
     if config.p < 1 or config.q < 1:
         raise ConfigError("--p and --q must be >= 1")
-    stride = 1 if config.stride is None else config.stride
-    if stride < 1:
-        raise ConfigError("--stride must be >= 1")
     raw = read_matrix(config.inputs[0], config.header)
     q, p = config.q, config.p
     if q * p == 1 and raw.shape[0] > 1 and raw.shape[1] == 1:
@@ -325,7 +309,7 @@ def _run_era(config: argparse.Namespace) -> None:
             "(one column-major vectorized block per column)"
         )
     blocks = raw.T.reshape(-1, p, q).transpose(0, 2, 1)  # column-major blocks
-    seq = era_mod.markov_from_blocks(blocks, stride=stride)
+    seq = era_mod.markov_from_blocks(blocks, stride=config.stride)
     h, h_shift = era_mod.build_hankel(seq, m_c=config.mc, m_o=config.mo)
     real = era_mod.era_realize(
         h, h_shift, config.order, p, q,
@@ -347,7 +331,7 @@ def _run_era(config: argparse.Namespace) -> None:
         f"inputs: {', '.join(config.inputs)}",
         f"block_rows_q: {q}",
         f"block_cols_p: {p}",
-        f"stride: {stride}",
+        f"stride: {config.stride}",
         f"markov_count: {len(seq.params)}",
         f"hankel_shape: {h.shape[0]}x{h.shape[1]}",
         f"order: {real.order}",
@@ -360,9 +344,7 @@ def _run_era(config: argparse.Namespace) -> None:
 
 
 def _run_lim(config: argparse.Namespace) -> None:
-    _validate_pairing_flags(config)
-    arrays = _load_inputs(config)
-    pairs = _build_pairs(config, arrays)
+    pairs = _build_pairs(config)
     model = lim_mod.lim_model(
         pairs, force=config.force, rtol=config.rank_rtol, atol=config.rank_atol
     )
@@ -492,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p_era)
     p_era.add_argument("--p", type=int, default=1, help="inputs per Markov block")
     p_era.add_argument("--q", type=int, default=1, help="outputs per Markov block")
-    p_era.add_argument("--stride", type=int, default=None,
+    p_era.add_argument("--stride", type=int, default=1,
                        help="subsample the impulse sequence at this spacing")
     p_era.add_argument("--mc", type=int, default=None,
                        help="Hankel block columns minus one")

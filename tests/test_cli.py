@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit.cli import main, read_matrix, write_complex_matrix, write_real_matrix
+from dmdkit.dmd import exact_dmd
 from dmdkit.errors import ParseError
+from dmdkit.pairs import pairs_from_strided, pairs_from_trajectories
 
 
 def _read_table(path):
@@ -157,16 +159,18 @@ class TestGenerateCommand:
         assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
-class TestDmdCommand:
-    def _generate(self, tmp_path):
-        out = str(tmp_path / "z.csv")
-        main(["gen", "--kind", "two-timescale", "--steps", "60", "--seed", "5",
-              "--f-fast", "1.2", "--f-slow", "0.3", "--decay-fast", "-0.1",
-              "--dim", "8", "--output", out])
-        return out
+def _series_csv(tmp_path):
+    """A two-timescale series: 8 states, 60 snapshots, rank 4."""
+    src = str(tmp_path / "z.csv")
+    main(["gen", "--kind", "two-timescale", "--steps", "60", "--seed", "5",
+          "--f-fast", "1.2", "--f-slow", "0.3", "--decay-fast", "-0.1",
+          "--dim", "8", "--output", src])
+    return src
 
+
+class TestDmdCommand:
     def test_end_to_end_files_and_values(self, tmp_path):
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         outdir = str(tmp_path / "out")
         code = main(["dmd", "--input", src, "--output-dir", outdir,
                      "--dt", "0.1", "--scaling", "amplitude-qr"])
@@ -186,7 +190,7 @@ class TestDmdCommand:
         assert modes.shape == (16, 4)   # 8 states, re/im rows interleaved
 
     def test_rerun_is_byte_identical(self, tmp_path):
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         d1 = str(tmp_path / "o1")
         d2 = str(tmp_path / "o2")
         for d in (d1, d2):
@@ -195,7 +199,7 @@ class TestDmdCommand:
             assert Path(d1, name).read_bytes() == Path(d2, name).read_bytes()
 
     def test_unit_norm_scaling_is_the_default(self, tmp_path):
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         plain = tmp_path / "plain"
         unit = tmp_path / "unit"
         assert main(["dmd", "--input", src, "--output-dir", str(plain)]) == 0
@@ -205,7 +209,7 @@ class TestDmdCommand:
             assert (plain / name).read_bytes() == (unit / name).read_bytes()
 
     def test_scaling_none_is_a_usage_error(self, tmp_path):
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["dmd", "--input", src, "--output-dir", str(tmp_path / "out"),
                   "--scaling", "none"])
@@ -213,14 +217,14 @@ class TestDmdCommand:
 
     def test_scaling_biorthogonal_is_a_usage_error(self, tmp_path):
         # It rescaled only the adjoint modes, which dmd never writes.
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["dmd", "--input", src, "--output-dir", str(tmp_path / "out"),
                   "--scaling", "biorthogonal"])
         assert exc.value.code == 2
 
     def test_algorithm_and_pairing_flags(self, tmp_path):
-        src = self._generate(tmp_path)
+        src = _series_csv(tmp_path)
         outdir = str(tmp_path / "seq")
         code = main(["dmd", "--input", src, "--output-dir", outdir,
                      "--algorithm", "sequential"])
@@ -240,6 +244,99 @@ class TestDmdCommand:
         want = np.exp(1j * np.pi / 4)
         assert min(abs(lam - want)) < 1e-8
         assert min(abs(lam - np.conj(want))) < 1e-8
+
+
+def _eigenvalue_columns(outdir):
+    """Eigenvalues and, when written, amplitudes from eigenvalues.csv."""
+    header, rows = _read_table(os.path.join(outdir, "eigenvalues.csv"))
+    rows = np.array(rows)
+    lam = rows[:, 0] + 1j * rows[:, 1]
+    if "amplitude_re" not in header:
+        return lam, None
+    return lam, rows[:, header.index("amplitude_re")] + 1j * rows[:, header.index("amplitude_im")]
+
+
+def _same_bytes(dir_a, dir_b, names=("eigenvalues.csv", "modes.csv")):
+    return all(Path(dir_a, n).read_bytes() == Path(dir_b, n).read_bytes() for n in names)
+
+
+class TestPairingReadFromData:
+    """Time order is read from the pairs, whichever --pairing built them."""
+
+    def test_strided_stride_one_takes_an_amplitude_scaling(self, tmp_path):
+        src = _series_csv(tmp_path)
+        seq, strided = str(tmp_path / "seq"), str(tmp_path / "strided")
+        assert main(["dmd", "--input", src, "--output-dir", seq,
+                     "--scaling", "amplitude-qr"]) == 0
+        assert main(["dmd", "--input", src, "--output-dir", strided,
+                     "--pairing", "strided", "--stride", "1",
+                     "--scaling", "amplitude-qr"]) == 0
+        # Equal up to roundoff: the fancy-indexed pairs are laid out
+        # differently in memory, so the products need not match bit for bit.
+        for want, got in zip(_eigenvalue_columns(seq), _eigenvalue_columns(strided)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_paired_shifted_arrays_take_a_delay(self, tmp_path):
+        src = _series_csv(tmp_path)
+        z = read_matrix(src)
+        x, y = str(tmp_path / "x.csv"), str(tmp_path / "y.csv")
+        write_real_matrix(x, z[:, :-1])
+        write_real_matrix(y, z[:, 1:])
+        seq, paired = str(tmp_path / "seq"), str(tmp_path / "paired")
+        assert main(["dmd", "--input", src, "--output-dir", seq, "--delay", "2"]) == 0
+        assert main(["dmd", "--pairing", "paired", "--input", x, "--input", y,
+                     "--output-dir", paired, "--delay", "2"]) == 0
+        assert _same_bytes(seq, paired)
+
+    def test_one_run_takes_the_sequential_algorithm(self, tmp_path):
+        src = _series_csv(tmp_path)
+        seq, multi = str(tmp_path / "seq"), str(tmp_path / "multi")
+        assert main(["dmd", "--input", src, "--output-dir", seq,
+                     "--algorithm", "sequential"]) == 0
+        assert main(["dmd", "--input", src, "--output-dir", multi,
+                     "--pairing", "multi-run", "--algorithm", "sequential"]) == 0
+        assert _same_bytes(seq, multi)
+
+    @pytest.mark.parametrize("argv", [
+        ["dmd", "--pairing", "multi-run", "--input", "{a}", "--input", "{b}",
+         "--delay", "2"],
+        ["dmd", "--pairing", "strided", "--stride", "2", "--input", "{z}",
+         "--scaling", "amplitude-qr"],
+        ["dmd", "--input", "{z}", "--delay", "0"],
+        ["dmd", "--pairing", "strided", "--stride", "0", "--input", "{z}"],
+        ["era", "--input", "{impulse}", "--stride", "0"],
+    ])
+    def test_pairs_the_library_refuses_are_a_domain_error(self, tmp_path, capsys, argv):
+        src = _series_csv(tmp_path)
+        z = read_matrix(src)
+        paths = {"z": src, "a": str(tmp_path / "a.csv"), "b": str(tmp_path / "b.csv"),
+                 "impulse": str(tmp_path / "impulse.csv")}
+        write_real_matrix(paths["a"], z[:, :30])
+        write_real_matrix(paths["b"], z[:, 31:])
+        write_real_matrix(paths["impulse"], 0.5 ** np.arange(8.0))
+        capsys.readouterr()
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 6
+        assert "error[domain]" in capsys.readouterr().err
+
+    def test_strided_pairs_match_the_library(self, tmp_path):
+        src = _series_csv(tmp_path)
+        outdir = str(tmp_path / "out")
+        assert main(["dmd", "--input", src, "--output-dir", outdir,
+                     "--pairing", "strided", "--stride", "3"]) == 0
+        want = exact_dmd(pairs_from_strided(read_matrix(src), 3)).eigenvalues
+        assert np.array_equal(_eigenvalue_columns(outdir)[0], want)
+
+    def test_multi_run_pairs_match_the_library(self, tmp_path):
+        z = read_matrix(_series_csv(tmp_path))
+        a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        write_real_matrix(a, z[:, :30])
+        write_real_matrix(b, z[:, 31:])
+        outdir = str(tmp_path / "out")
+        assert main(["dmd", "--pairing", "multi-run", "--input", a, "--input", b,
+                     "--output-dir", outdir]) == 0
+        want = exact_dmd(pairs_from_trajectories([z[:, :30], z[:, 31:]])).eigenvalues
+        assert np.array_equal(_eigenvalue_columns(outdir)[0], want)
 
 
 class TestCheckCommand:
@@ -458,7 +555,9 @@ _COMMANDS = st.sampled_from([
     ["dmd", "--algorithm", "sequential", "--include-zero-modes"],
     ["dmd", "--algorithm", "qr"],
     ["dmd", "--scaling", "amplitude-gram"],
+    ["dmd", "--pairing", "strided", "--stride", "1", "--scaling", "amplitude-qr"],
     ["check"],
+    ["check", "--pairing", "multi-run"],
     ["lim"],
     ["era"],
 ])
