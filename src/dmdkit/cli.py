@@ -31,6 +31,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -40,6 +41,7 @@ from . import era as era_mod
 from . import generators as gen_mod
 from . import lim as lim_mod
 from .dmd import (
+    _followers,
     _rates,
     exact_dmd,
     exact_dmd_qr,
@@ -114,21 +116,41 @@ def read_matrix(path: str, header: bool = False) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def write_real_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
+def _write_rows(path: str, rows, header: list[str] | None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(mat).tolist():
-            fh.write(",".join(map(repr, row)) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def write_real_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
+    _write_rows(path, (map(repr, row) for row in np.atleast_2d(mat).tolist()), header)
 
 
 def write_complex_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a complex matrix with interleaved Re/Im rows per entry."""
-    mat = np.atleast_2d(mat)
-    out = np.empty((2 * mat.shape[0], mat.shape[1]), dtype=np.float64)
-    out[0::2] = mat.real
-    out[1::2] = mat.imag
-    write_real_matrix(path, out, header)
+    """Write a complex matrix with interleaved Re/Im rows per entry.
+
+    A column whose bits conjugate the column before it takes that leader's
+    text, sign-flipped in the Im rows: repr(-x) is "-" + repr(x), or
+    repr(x)[1:] for negative x, for every float x but nan, which leads none.
+    """
+    z = np.ascontiguousarray(np.atleast_2d(mat), dtype=np.complex128)
+    bits, conj_bits = z.view(np.int64), z.conj().view(np.int64)  # (Re, Im) per entry
+    same = (bits[:, 2:] == conj_bits[:, :-2]).all(axis=0).reshape(-1, 2).all(axis=1)
+    conj_next = np.zeros(z.shape[1], dtype=bool)
+    conj_next[:-1] = same & ~np.isnan(z.imag[:, :-1]).any(axis=0)
+    follower = _followers(conj_next)
+    cols = list(zip((np.cumsum(~follower) - 1).tolist(), follower.tolist()))
+
+    def rows():
+        for re_row, im_row in zip(z.real[:, ~follower].tolist(), z.imag[:, ~follower].tolist()):
+            re_txt, im_txt = list(map(repr, re_row)), list(map(repr, im_row))
+            neg_txt = [t[1:] if t[0] == "-" else "-" + t for t in im_txt]
+            yield [re_txt[i] for i, _ in cols]
+            yield [(neg_txt if f else im_txt)[i] for i, f in cols]
+
+    _write_rows(path, rows(), header)
 
 
 def _write_report(path: str, lines: list[str]) -> None:
@@ -283,11 +305,13 @@ def _run_check(config: argparse.Namespace) -> None:
         f"consistency_tol: {_fmt(report.tol)}",
     ]
     if not report.consistent:
-        lines.append(
-            "hint: no linear map sends each x_k to y_k; part of y falls outside "
-            "what x can predict. Stacking consecutive snapshots usually repairs "
-            "this; try --delay 2."
-        )
+        with contextlib.suppress(ValueError):  # --delay needs pairs in one time series
+            _series(pairs)
+            lines.append(
+                "hint: no linear map sends each x_k to y_k; part of y falls outside "
+                "what x can predict. Stacking consecutive snapshots usually repairs "
+                "this; try --delay 2."
+            )
     for ln in lines:
         print(ln)
     os.makedirs(config.output_dir, exist_ok=True)

@@ -181,6 +181,14 @@ def _defect_warning(vectors: np.ndarray) -> tuple[str, ...]:
     return ()
 
 
+def _followers(conj_next: np.ndarray) -> np.ndarray:
+    """Column j + 1 follows j if ``conj_next[j]`` and j leads: a, conj(a), a, ... alternate."""
+    follower = np.zeros_like(conj_next)
+    for j in np.flatnonzero(conj_next):
+        follower[j + 1] = not follower[j]
+    return follower
+
+
 def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
 
@@ -200,9 +208,7 @@ def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
         w[:, 1:] == w[:, :-1].conj(), axis=0
     )
-    follower = np.zeros(k, dtype=bool)
-    for j in np.flatnonzero(conj_next):
-        follower[j + 1] = not follower[j]
+    follower = _followers(conj_next)
     lead = np.ascontiguousarray(w[:, ~follower])
     lifted = (basis @ lead.view(np.float64)).view(np.complex128)
     out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)

@@ -122,6 +122,60 @@ class TestMatrixIo:
         assert np.array_equal(raw[1], [2.0, -4.0])  # imaginary row
 
 
+def _reference_complex_text(mat, header=None):
+    """The interleaved Re/Im CSV written with one repr per entry."""
+    mat = np.atleast_2d(mat)
+    lines = [] if header is None else [",".join(header)]
+    for re_row, im_row in zip(mat.real.tolist(), mat.imag.tolist()):
+        lines += [",".join(map(repr, re_row)), ",".join(map(repr, im_row))]
+    return "".join(line + "\n" for line in lines)
+
+
+def _pair_columns(*cols):
+    return np.column_stack([np.asarray(c, dtype=complex) for c in cols])
+
+
+_A = np.array([0.3 - 1.25j, -2.0 + 0.5j, 1e-300 - 7.0j])
+_R = np.array([1.5, -0.25, 3.0]) + 0j
+_NEG_ZERO = complex(-0.0, 0.0)
+_WRITER_CASES = {
+    "conjugate-pairs": _pair_columns(_A, _A.conj(), _R, _A[::-1], _A[::-1].conj()),
+    "alternating-chain": _pair_columns(_A, _A.conj(), _A, _A.conj(), _A),
+    "identical-real-columns": _pair_columns(_R, _R, _R),
+    "self-conjugate-column": _pair_columns(_R, _R.conj(), _R.conj()),
+    # Columns 1 and 2 are conjugate under == but not bit for bit, which a
+    # writer testing with == misprints; column 3 is the bitwise conjugate of 2.
+    "signed-zeros": _pair_columns(
+        [_NEG_ZERO, complex(0.0, -0.0), 1.0 + 2.0j],
+        [complex(0.0, -0.0), _NEG_ZERO, 1.0 - 2.0j],
+        [complex(0.0, 0.0), complex(-0.0, -0.0), 1.0 + 2.0j],
+    ),
+    "inf-nan-subnormal": _pair_columns(
+        [complex(np.inf, -np.inf), complex(5e-324, 5e-324), complex(-np.inf, np.inf)],
+        [complex(np.inf, np.inf), complex(5e-324, -5e-324), complex(-np.inf, -np.inf)],
+        [complex(np.nan, 1.0), complex(-5e-324, np.nan), 2.0j],
+        [complex(np.nan, -1.0), complex(-5e-324, -np.nan), complex(0.0, -2.0)],
+    ),
+    "repr-switch-points": _pair_columns(
+        [1e16 + 1e-5j, -1e-5 - 1e16j, 9999999999999998.0 + 0.0001j],
+        [1e16 - 1e-5j, -1e-5 + 1e16j, 9999999999999998.0 - 0.0001j],
+    ),
+    "one-column": _pair_columns(_A),
+    "zero-columns": np.zeros((3, 0), dtype=complex),
+}
+
+
+class TestComplexWriter:
+    @pytest.mark.parametrize("with_header", [False, True])
+    @pytest.mark.parametrize("name", sorted(_WRITER_CASES))
+    def test_bytes_equal_one_repr_per_entry(self, tmp_path, name, with_header):
+        mat = _WRITER_CASES[name]
+        header = [f"mode_{j + 1}" for j in range(mat.shape[1])] if with_header else None
+        path = tmp_path / "m.csv"
+        write_complex_matrix(str(path), mat, header)
+        assert path.read_bytes() == _reference_complex_text(mat, header).encode("utf-8")
+
+
 class TestGenerateCommand:
     def test_writes_snapshot_file(self, tmp_path):
         out = str(tmp_path / "z.csv")
@@ -350,6 +404,18 @@ class TestCheckCommand:
         text = capsys.readouterr().out
         assert "linearly_consistent: no" in text
         assert "--delay 2" in text
+
+    def test_no_hint_for_pairs_that_are_not_one_series(self, tmp_path, capsys):
+        src = str(tmp_path / "wave.csv")
+        main(["gen", "--kind", "standing-wave", "--dim", "3", "--steps", "33",
+              "--seed", "2", "--output", src])
+        code = main(["check", "--input", src, "--pairing", "strided", "--stride", "2",
+                     "--output-dir", str(tmp_path / "chk")])
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "linearly_consistent: no" in text
+        assert not [ln for ln in text.splitlines() if ln.startswith("hint:")]
+        assert "--delay 2" not in text
 
     def test_consistent_after_embedding(self, tmp_path, capsys):
         src = str(tmp_path / "wave.csv")
