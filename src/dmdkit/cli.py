@@ -131,9 +131,9 @@ def write_real_matrix(path: str, mat: np.ndarray, header: list[str] | None = Non
 def write_complex_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
     """Write a complex matrix with interleaved Re/Im rows per entry.
 
-    A column whose bits conjugate the column before it takes that leader's
+    A column whose bits conjugate the column before it reuses that leader's
     text, sign-flipped in the Im rows: repr(-x) is "-" + repr(x), or
-    repr(x)[1:] for negative x, for every float x but nan, which leads none.
+    repr(x)[1:] for negative x, for every float but nan, so no nan Im leads.
     """
     z = np.ascontiguousarray(np.atleast_2d(mat), dtype=np.complex128)
     bits, conj_bits = z.view(np.int64), z.conj().view(np.int64)  # (Re, Im) per entry
