@@ -59,6 +59,7 @@ from .errors import (
 )
 from .linalg import eig_dense
 from .pairs import (
+    _require_series,
     _series,
     delay_embed,
     pairs_from_arrays,
@@ -306,7 +307,7 @@ def _run_check(config: argparse.Namespace) -> None:
     ]
     if not report.consistent:
         with contextlib.suppress(ValueError):  # --delay needs pairs in one time series
-            _series(pairs)
+            _require_series(pairs)
             lines.append(
                 "hint: no linear map sends each x_k to y_k; part of y falls outside "
                 "what x can predict. Stacking consecutive snapshots usually repairs "

@@ -92,15 +92,30 @@ def reduced_operator(
 class DmdDecomposition:
     """Eigenvalues and mode families from one decomposition run.
 
-    Mode columns are index-paired across all arrays. Stored are
-    ``exact_modes``, eigenvectors of A; ``reduced_vectors``, the
-    rank-space eigenvectors w with u* phi = w (lambda != 0); and
-    ``left_vectors``, the small left eigenvectors in the coordinates of
-    ``left_basis`` (u, or q for QR and sequential). Lifted from these on
-    every read, so bind them to a name before a loop: ``projected_modes``
-    = u w, the projected algorithm's own modes and, for lambda != 0, the
-    exact modes projected onto range(x); and ``adjoint_modes``, which
-    satisfy psi* A = lambda psi*.
+    No mode family is stored at state size. Each is lifted on every
+    read, and never cached, from a basis the decomposition needs anyway
+    and small per-mode arrays, so bind it to a name before a loop:
+
+    * ``projected_modes`` = u w from ``reduced_vectors``, the rank-space
+      eigenvectors w with u* phi = w (lambda != 0); the projected
+      algorithm's own modes and, for lambda != 0, the exact modes
+      projected onto range(x);
+    * ``adjoint_modes``, which satisfy psi* A = lambda psi*, from
+      ``left_vectors`` in the coordinates of ``left_basis`` (u, or q for
+      QR and sequential);
+    * ``exact_modes``, eigenvectors of A, from ``exact_vectors`` in the
+      coordinates of ``exact_basis``. For QR and sequential that basis
+      is q, the mode is q v, and the scale is already in v
+      (``exact_divisors`` and ``exact_order`` are None). For exact and
+      projected it is b = y v / sigma, and the mode is b w over its entry
+      of ``exact_divisors``, then scaled: lambda, or 1 for a null-space
+      mode built from its image b w, or 0 for one whose image vanished,
+      which is u w instead. Those two arrays keep the small
+      eigensolver's column order, and ``exact_order`` gathers the modes
+      into mode order last, since the rounding of a matrix product can
+      depend on where a column sits.
+
+    Every other per-mode array is index-paired with the eigenvalues.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -117,16 +132,30 @@ class DmdDecomposition:
     """
 
     eigenvalues: np.ndarray
-    exact_modes: np.ndarray
     reduced_vectors: np.ndarray
     left_vectors: np.ndarray
     left_basis: np.ndarray
+    exact_basis: np.ndarray
+    exact_vectors: np.ndarray
+    exact_divisors: np.ndarray | None
+    exact_order: np.ndarray | None
     algorithm: str
     scaling: str
     svd_of_x: ReducedSvd
     amplitudes: np.ndarray | None = None
     amplitude_residual: float | None = None
     warnings: tuple[str, ...] = ()
+
+    @property
+    def exact_modes(self) -> np.ndarray:
+        """Eigenvectors of A, lifted on each read."""
+        if self.exact_order is None:
+            return _lift(self.exact_basis, self.exact_vectors)
+        modes, source, follower = _image_modes(
+            self.exact_basis, self.svd_of_x.u, self.exact_vectors, self.exact_divisors
+        )
+        modes *= _column_scale(self.exact_vectors)[~follower]
+        return _spread(modes, source[self.exact_order], follower[self.exact_order])
 
     @property
     def projected_modes(self) -> np.ndarray:
@@ -189,21 +218,19 @@ def _followers(conj_next: np.ndarray) -> np.ndarray:
     return follower
 
 
-def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+def _leads(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``basis @ w`` for the columns of complex ``w`` a lift computes.
 
-    The real and imaginary parts of w are lifted together by one real
-    product with the interleaved float64 view of w. A column directly
-    followed by its exact conjugate is lifted once and the follower is
-    set to the conjugate of the result, so conjugate eigenvectors of
-    real data give exactly conjugate modes and a conjugate pair costs
-    the same real product as one real column pair.
+    For a real basis, the real and imaginary parts of w are lifted
+    together by one real product with the interleaved float64 view of
+    w, and a column directly followed by its exact conjugate is lifted
+    once: the follower's image is the conjugate of its lead's. A
+    complex basis lifts every column. Returns the lifted leads, the
+    index of each column's lead among them, and the follower mask.
     """
-    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
-        return basis @ w
-    if w.ndim == 1:
-        return _lift(basis, w[:, None])[:, 0]
     k = w.shape[1]
+    if np.iscomplexobj(basis):
+        return basis @ w, np.arange(k), np.zeros(k, dtype=bool)
     conj_next = np.zeros(k, dtype=bool)
     conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
         w[:, 1:] == w[:, :-1].conj(), axis=0
@@ -211,13 +238,32 @@ def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     follower = _followers(conj_next)
     lead = np.ascontiguousarray(w[:, ~follower])
     lifted = (basis @ lead.view(np.float64)).view(np.complex128)
-    out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
+    return lifted, np.cumsum(~follower) - 1, follower
+
+
+def _spread(leads: np.ndarray, source: np.ndarray, follower: np.ndarray) -> np.ndarray:
+    """Columns ``leads[:, source]``, conjugated where ``follower``."""
+    out = np.take(leads, source, axis=1)
     out.imag *= np.where(follower, -1.0, 1.0)
     return out
 
 
-def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Eigenvector of A for an eigenvalue at (numerical) zero.
+def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+
+    Conjugate eigenvectors of real data give exactly conjugate modes,
+    and a conjugate pair costs the same real product as one real column
+    pair (see :func:`_leads`).
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return basis @ w
+    if w.ndim == 1:
+        return _lift(basis, w[:, None])[:, 0]
+    return _spread(*_leads(basis, w))
+
+
+def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> bool:
+    """Whether the lambda=0 eigenvector of A for w is built from its image.
 
     The image of w under y v / sigma is itself a lambda=0 eigenvector
     when it is nonzero; when that image vanishes, u w already is one.
@@ -225,9 +271,26 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> np.nd
     """
     t = _lift(op.svd_of_x.v / op.svd_of_x.sigma[None, :], w)
     bw = _lift(y, t)
-    if np.linalg.norm(bw) > max(y.shape) * _EPS * (_norm(y) * _norm(t)):
-        return bw
-    return _lift(op.svd_of_x.u, w)
+    return bool(np.linalg.norm(bw) > max(y.shape) * _EPS * (_norm(y) * _norm(t)))
+
+
+def _image_modes(
+    b: np.ndarray, u: np.ndarray, vectors: np.ndarray, divisors: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unscaled exact modes b w / d of the lead columns (see :func:`_leads`).
+
+    A divisor d of 0 gives u w instead. A follower's w and d are the
+    exact conjugates of its lead's, and so is its mode: the lead index
+    and follower mask are returned for :func:`_spread` to rebuild every
+    column with.
+    """
+    lifted, source, follower = _leads(b, vectors)
+    lead_vectors, lead_divisors = vectors[:, ~follower], divisors[~follower]
+    vanished = lead_divisors == 0
+    modes = _divide(lifted, np.where(vanished, 1.0, lead_divisors))
+    for j in np.flatnonzero(vanished):
+        modes[:, j] = _lift(u, lead_vectors[:, j])
+    return modes, source, follower
 
 
 # Entries whose magnitudes agree to this relative tolerance tie for the
@@ -272,14 +335,13 @@ def _decompose(
     The small matrix is a_tilde = u* A u or, for the joint-basis routes
     (QR and sequential), q* A q with q = [u c], the orthonormal
     ``complement`` c spanning the part of y outside range(x). Zero modes
-    are dropped before anything is lifted. Scale and order are fixed on
-    the small vectors. How the exact modes are lifted is the one thing
-    the routes differ in:
-
-    * qr, sequential: q v, already an eigenvector of A, lifted once the
-      small vectors v are scaled and ordered;
-    * exact, projected: (y v / sigma) w / lambda, with null-space modes
-      from :func:`_exact_zero_mode`, which needs the images ``y``.
+    are dropped, and scale and order fixed, on the small vectors only.
+    How the exact modes are lifted on read is the one thing the routes
+    differ in (see :class:`DmdDecomposition`). For the exact and
+    projected routes, null-space modes are settled here by
+    :func:`_exact_zero_mode`, which needs the images ``y``, and the exact
+    route lifts its modes once, transiently, for the norms that fix
+    their order.
     """
     u = op.svd_of_x.u
     if complement is None:
@@ -297,28 +359,27 @@ def _decompose(
     vectors = eig.vectors[:, kept]
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
     joint = algorithm in ("qr", "sequential")
+    norms = np.linalg.norm(vectors, axis=0)  # modes q v and u w have the norms of v and w
     if not joint:
-        zero = np.abs(lam) <= cut  # never set unless include_zero_modes
-        exact = _divide(_lift(op.b, vectors), np.where(zero, 1.0, lam))
-        for j in np.flatnonzero(zero):
-            exact[:, j] = _exact_zero_mode(op, vectors[:, j], y)
+        divisors = lam.copy()
+        for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
+            divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j], y) else 0.0
+        if algorithm == "exact":
+            modes, source, _ = _image_modes(op.b, u, vectors, divisors)
+            norms = np.linalg.norm(modes, axis=0)[source]
 
     scale = _column_scale(reduced)
-    # Modes q v and u w have the norms of v and w: q and u are orthonormal.
-    own = vectors if joint or algorithm == "projected" else exact
-    order = _canonical_order(lam, np.linalg.norm(own, axis=0) * np.abs(scale))
+    order = _canonical_order(lam, norms * np.abs(scale))
     scale = scale[order]
-    reduced = np.take(reduced, order, axis=1) * scale
-    if joint:
-        exact = _lift(basis, vectors[:, order] * scale)
-    else:
-        exact = np.take(exact, order, axis=1) * scale
     return DmdDecomposition(
         eigenvalues=lam[order],
-        exact_modes=exact,
-        reduced_vectors=reduced,
+        reduced_vectors=np.take(reduced, order, axis=1) * scale,
         left_vectors=eig.left_vectors[:, kept[order]],
         left_basis=basis,
+        exact_basis=basis if joint else op.b,
+        exact_vectors=vectors[:, order] * scale if joint else vectors,
+        exact_divisors=None if joint else divisors,
+        exact_order=None if joint else order,
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=op.svd_of_x,

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
@@ -222,6 +221,9 @@ def match_eigenvalues(left, right) -> np.ndarray:
         raise DimensionError(
             f"eigenvalue sets have different sizes: {left.shape} vs {right.shape}"
         )
+    # Imported here: scipy.optimize costs a large share of dmdkit's import time.
+    import scipy.optimize
+
     cost = np.abs(left[:, None] - right[None, :])
     _, cols = scipy.optimize.linear_sum_assignment(cost)
     return cols

@@ -174,16 +174,21 @@ def embed_sequence(z, depth: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _series(pairs: SnapshotPairs) -> np.ndarray:
-    """The time series z with x = z[:, :-1] and y = z[:, 1:].
+def _require_series(pairs: SnapshotPairs) -> None:
+    """Raise ValueError unless the pairs form one time series.
 
     Pairs form one series when each image is the next pre-image,
-    x[:, 1:] == y[:, :-1] exactly; any other pairs raise ValueError.
+    x[:, 1:] == y[:, :-1] exactly.
     """
     if not np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
         raise ValueError(
             "pairs are not one time-ordered series: x[:, 1:] differs from y[:, :-1]"
         )
+
+
+def _series(pairs: SnapshotPairs) -> np.ndarray:
+    """The time series z with x = z[:, :-1] and y = z[:, 1:] (see :func:`_require_series`)."""
+    _require_series(pairs)
     return np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .dmd import DmdDecomposition
 from .errors import DimensionError
 from .linalg import _divide, _norm, _unit_scale
-from .pairs import SnapshotPairs, _series
+from .pairs import SnapshotPairs, _require_series
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
 
@@ -86,7 +86,7 @@ def scale_amplitudes(
     returned decomposition; an unreachable reference simply shows up as
     a large residual.
     """
-    _series(pairs)
+    _require_series(pairs)
     if method not in ("qr", "gram"):
         raise ValueError(f"unknown method {method!r}")
     if dec.n_modes == 0:
@@ -100,14 +100,14 @@ def scale_amplitudes(
         )
 
     target = pairs.y[:, 0]
-    if target.shape[0] != dec.exact_modes.shape[0]:
+    n = dec.left_basis.shape[0]
+    if target.shape[0] != n:
         raise DimensionError(
-            f"reference snapshot has {target.shape[0]} entries, modes have "
-            f"{dec.exact_modes.shape[0]}"
+            f"reference snapshot has {target.shape[0]} entries, modes have {n}"
         )
 
-    phi = dec.exact_modes
     if method == "qr":
+        phi = dec.exact_modes
         t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
         d = _divide(t, lam)
         residual = _norm(phi @ (lam * d) - target)
@@ -117,10 +117,10 @@ def scale_amplitudes(
         # target each carry their own power of two; the solution is scaled
         # back once, by ldexp, as their quotient may lie outside float64.
         svd = dec.svd_of_x
-        if pairs.y.shape != (phi.shape[0], svd.v.shape[0]):
+        if pairs.y.shape != (n, svd.v.shape[0]):
             raise DimensionError(
                 "pairs do not match the decomposition (expected y of shape "
-                f"{(phi.shape[0], svd.v.shape[0])}, got {pairs.y.shape})"
+                f"{(n, svd.v.shape[0])}, got {pairs.y.shape})"
             )
         t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
         y_unit, t_unit, unit = _unit_scale(pairs.y), _unit_scale(t_mat), _unit_scale(target)

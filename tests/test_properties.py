@@ -5,6 +5,8 @@ deterministic and runs in a few seconds. Examples are drawn as shapes
 and an RNG seed; numpy generates the Gaussian entries.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import scipy.optimize
 from hypothesis import given, settings
@@ -293,17 +295,41 @@ def sequences(draw):
     return z
 
 
+def _state_size_arrays(dec, n):
+    """The 2-D arrays a decomposition holds, its SVD's included, that
+    have n rows where n exceeds the width of its small space."""
+    if n <= dec.left_basis.shape[1]:
+        return []
+    held = [getattr(dec, f.name) for f in fields(dec)]
+    held += [getattr(dec.svd_of_x, f.name) for f in fields(dec.svd_of_x)]
+    return [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == n]
+
+
 @PROFILE
-@given(sequences(), st.booleans())
-def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_zero):
+@given(sequences(), st.booleans(), st.booleans())
+def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_zero, complex_data):
     """Both derived families on every route, with and without null-space
-    modes: the adjoint modes are left eigenvectors of A = y x^+, and the
-    projected modes are u u* of the exact ones.
+    modes, on real data and on complex data: the adjoint modes are left
+    eigenvectors of A = y x^+, and the projected modes are u u* of the
+    exact ones.
 
     The projection identity u* phi = w needs phi = b w / lambda, so it is
     checked only where dividing by lambda loses no more than roundoff. A
     null-space mode built from the image has u* phi = 0 instead.
+
+    No mode family is stored at state size: every state-size array is a
+    basis the decomposition needs anyway, u or q (orthonormal) or
+    b = y v / sigma, and real for real data, where the modes are complex.
+    Each read of the exact modes gives the same bits, and for real data
+    conjugate eigenvalues carry exactly conjugate exact modes, which the
+    modes.csv writer relies on.
     """
+    if complex_data:
+        # A complex unitary change of state coordinates keeps the spectrum.
+        n = z.shape[0]
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        z = q @ z
     pairs = pairs_from_sequence(z)
     a = pairs.y @ np.linalg.pinv(pairs.x)
     a_norm = np.linalg.norm(a)
@@ -314,17 +340,31 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
         exact_dmd_qr(pairs, include_zero_modes=keep_zero),
         exact_dmd_sequential(z, include_zero_modes=keep_zero),
     ):
+        phi = dec.exact_modes
+        assert phi.tobytes() == dec.exact_modes.tobytes(), dec.algorithm
         psi_all = dec.adjoint_modes
-        assert psi_all.shape == dec.exact_modes.shape, dec.algorithm
+        assert psi_all.shape == phi.shape, dec.algorithm
         for lam, psi in zip(dec.eigenvalues, psi_all.T):
             psi = psi / np.linalg.norm(psi)
             residual = np.linalg.norm(psi.conj() @ a - lam * psi.conj())
             assert residual <= bound, dec.algorithm
         u = dec.svd_of_x.u
-        gap = np.linalg.norm(dec.projected_modes - u @ (u.T @ dec.exact_modes), axis=0)
+        gap = np.linalg.norm(dec.projected_modes - u @ (u.conj().T @ phi), axis=0)
         far = np.abs(dec.eigenvalues) > 1e-6 * a_norm
-        tol = 1e-10 * np.linalg.norm(dec.exact_modes, axis=0)
+        tol = 1e-10 * np.linalg.norm(phi, axis=0)
         assert np.all(gap[far] <= tol[far]), dec.algorithm
+
+        b = (pairs.y @ dec.svd_of_x.v) / dec.svd_of_x.sigma[None, :]
+        for held in _state_size_arrays(dec, z.shape[0]):
+            assert complex_data or held.dtype == np.float64, dec.algorithm
+            width = held.shape[1]
+            orthonormal = np.allclose(held.conj().T @ held, np.eye(width), rtol=0, atol=1e-10)
+            assert orthonormal or (held.shape == b.shape and np.allclose(held, b)), dec.algorithm
+        if not complex_data:
+            lam = dec.eigenvalues
+            for j in np.flatnonzero(lam.imag != 0):
+                partners = np.flatnonzero(lam == lam[j].conj())
+                assert any(np.array_equal(phi[:, k], phi[:, j].conj()) for k in partners)
 
 
 @PROFILE
