@@ -27,7 +27,7 @@ space is a product with a real matrix (:func:`_lift`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,7 +115,9 @@ class DmdDecomposition:
       into mode order last, since the rounding of a matrix product can
       depend on where a column sits.
 
-    Every other per-mode array is index-paired with the eigenvalues.
+    Every other per-mode array is index-paired with the eigenvalues,
+    ``exact_norms`` too: the exact route's mode 2-norms (else None), for
+    :attr:`mode_norms`. On QR and sequential, ``svd_of_x.u`` is q's lead.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -139,6 +141,7 @@ class DmdDecomposition:
     exact_vectors: np.ndarray
     exact_divisors: np.ndarray | None
     exact_order: np.ndarray | None
+    exact_norms: np.ndarray | None
     algorithm: str
     scaling: str
     svd_of_x: ReducedSvd
@@ -171,6 +174,13 @@ class DmdDecomposition:
     def modes(self) -> np.ndarray:
         """The mode family the algorithm itself defines."""
         return self.projected_modes if self.algorithm == "projected" else self.exact_modes
+
+    @property
+    def mode_norms(self) -> np.ndarray:
+        """2-norms of :attr:`modes`, lifted only where none are kept."""
+        if self.exact_norms is not None:
+            return self.exact_norms
+        return np.linalg.norm(self.modes, axis=0)
 
     @property
     def n_modes(self) -> int:
@@ -341,7 +351,8 @@ def _decompose(
     projected routes, null-space modes are settled here by
     :func:`_exact_zero_mode`, which needs the images ``y``, and the exact
     route lifts its modes once, transiently, for the norms that fix
-    their order.
+    their order and that :func:`spectrum` reads. The joint routes' u is
+    a view of q, so no route holds it twice.
     """
     u = op.svd_of_x.u
     if complement is None:
@@ -360,16 +371,20 @@ def _decompose(
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
     joint = algorithm in ("qr", "sequential")
     norms = np.linalg.norm(vectors, axis=0)  # modes q v and u w have the norms of v and w
+    exact_norms = None
     if not joint:
         divisors = lam.copy()
         for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
             divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j], y) else 0.0
         if algorithm == "exact":
-            modes, source, _ = _image_modes(op.b, u, vectors, divisors)
+            modes, source, follower = _image_modes(op.b, u, vectors, divisors)
             norms = np.linalg.norm(modes, axis=0)[source]
 
     scale = _column_scale(reduced)
     order = _canonical_order(lam, norms * np.abs(scale))
+    if algorithm == "exact":  # the bits exact_modes reads, so spectrum need not lift
+        modes *= scale[~follower]
+        exact_norms = np.linalg.norm(_spread(modes, source[order], follower[order]), axis=0)
     scale = scale[order]
     return DmdDecomposition(
         eigenvalues=lam[order],
@@ -380,9 +395,10 @@ def _decompose(
         exact_vectors=vectors[:, order] * scale if joint else vectors,
         exact_divisors=None if joint else divisors,
         exact_order=None if joint else order,
+        exact_norms=exact_norms,
         algorithm=algorithm,
         scaling="unit-norm",
-        svd_of_x=op.svd_of_x,
+        svd_of_x=replace(op.svd_of_x, u=basis[:, : u.shape[1]]),  # a view of q on QR, sequential
         warnings=_defect_warning(eig.vectors),
     )
 
@@ -559,8 +575,8 @@ class Reconstruction:
 def reconstruct(dec: DmdDecomposition, x) -> Reconstruction:
     """Expand a state vector in the decomposition's own modes.
 
-    Solves min_c norm(modes c - x) by orthogonal factorization and
-    reports the attained residual; components of x outside the mode
+    Solves min_c norm(modes c - x) with ``numpy.linalg.lstsq`` (SVD-based)
+    and reports the attained residual; components of x outside the mode
     span end up in the residual, never hidden.
     """
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
@@ -623,9 +639,8 @@ def spectrum(dec: DmdDecomposition, dt: float = 1.0, m_weight: float = 0) -> lis
         raise ValueError("dt must be finite and positive")
     if not np.isfinite(m_weight):
         raise ValueError("m_weight must be finite")
-    norms = np.linalg.norm(dec.modes, axis=0)
     points = []
-    for lam, nrm in zip(dec.eigenvalues, norms):
+    for lam, nrm in zip(dec.eigenvalues, dec.mode_norms):
         mag = abs(lam)
         freq, growth_c = _rates(lam, dt)
         if mag == 0.0:

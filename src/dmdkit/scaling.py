@@ -75,12 +75,12 @@ def scale_amplitudes(
     nonzero. To expand the first pre-image x_0 instead, use
     :func:`~dmdkit.dmd.reconstruct`.
 
-    Method "qr" solves the least-squares problem through an orthogonal
-    factorization of the mode matrix. Method "gram" uses the normal
-    equations built from y* y in the pair space, never forming the
-    state-size mode matrix; that route squares the conditioning of the
-    modes, which is exactly what makes it a useful foil in
-    ill-conditioned comparisons.
+    Method "qr" solves the least-squares problem on the mode matrix
+    with numpy's lstsq (LAPACK gelsd, SVD-based; the name is historical).
+    Method "gram" uses the normal equations built from y* y in the pair
+    space, never forming the state-size mode matrix; that route squares
+    the conditioning of the modes, which is exactly what makes it a
+    useful foil in ill-conditioned comparisons.
 
     The fitted amplitudes and attained residual are stored on the
     returned decomposition; an unreachable reference simply shows up as

@@ -27,6 +27,9 @@ from dmdkit import (
     pairs_from_sequence,
     projected_dmd,
     reduced_svd,
+    scale_amplitudes,
+    scale_biorthogonal,
+    spectrum,
     subtract_mean,
 )
 
@@ -305,6 +308,17 @@ def _state_size_arrays(dec, n):
     return [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == n]
 
 
+def _buffer_bytes(arrays):
+    """Bytes of the distinct buffers behind ``arrays``, views counted once
+    by the whole array that owns them."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owners[id(a)] = a
+    return sum(a.nbytes for a in owners.values())
+
+
 @PROFILE
 @given(sequences(), st.booleans(), st.booleans())
 def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_zero, complex_data):
@@ -322,7 +336,13 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
     b = y v / sigma, and real for real data, where the modes are complex.
     Each read of the exact modes gives the same bits, and for real data
     conjugate eigenvalues carry exactly conjugate exact modes, which the
-    modes.csv writer relies on.
+    modes.csv writer relies on. Each basis is held once: the joint routes'
+    u is the lead block of q, so they hold n (r + c) entries, and exact
+    and projected hold u and b, n 2r.
+
+    The spectrum's mode norms are the 2-norms of the route's own modes,
+    bit for bit, also after either rescaling (which keep the norms the
+    exact route stores), though only the exact route stores them.
     """
     if complex_data:
         # A complex unitary change of state coordinates keeps the spectrum.
@@ -342,6 +362,17 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
     ):
         phi = dec.exact_modes
         assert phi.tobytes() == dec.exact_modes.tobytes(), dec.algorithm
+        assert (dec.exact_norms is not None) == (dec.algorithm == "exact")
+        rescaled = [dec]
+        for rescale in (lambda d: scale_amplitudes(d, pairs, method="gram"), scale_biorthogonal):
+            try:
+                rescaled.append(rescale(dec))
+            except ValueError:  # zero eigenvalues, no modes, or a cluster
+                pass
+        norms = np.linalg.norm(dec.modes, axis=0)
+        for held in rescaled:
+            got = np.array([p.mode_norm for p in spectrum(held)], dtype=np.float64)
+            assert got.tobytes() == norms.tobytes(), (dec.algorithm, held.scaling)
         psi_all = dec.adjoint_modes
         assert psi_all.shape == phi.shape, dec.algorithm
         for lam, psi in zip(dec.eigenvalues, psi_all.T):
@@ -354,8 +385,13 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
         tol = 1e-10 * np.linalg.norm(phi, axis=0)
         assert np.all(gap[far] <= tol[far]), dec.algorithm
 
+        joint = dec.algorithm in ("qr", "sequential")
+        assert not joint or np.shares_memory(u, dec.left_basis), dec.algorithm
         b = (pairs.y @ dec.svd_of_x.v) / dec.svd_of_x.sigma[None, :]
-        for held in _state_size_arrays(dec, z.shape[0]):
+        state_size = _state_size_arrays(dec, z.shape[0])
+        width = dec.left_basis.shape[1] if joint else 2 * dec.svd_of_x.rank
+        assert _buffer_bytes(state_size) <= z.shape[0] * width * u.itemsize, dec.algorithm
+        for held in state_size:
             assert complex_data or held.dtype == np.float64, dec.algorithm
             width = held.shape[1]
             orthonormal = np.allclose(held.conj().T @ held, np.eye(width), rtol=0, atol=1e-10)
