@@ -178,9 +178,7 @@ class DmdDecomposition:
     @property
     def mode_norms(self) -> np.ndarray:
         """2-norms of :attr:`modes`, lifted only where none are kept."""
-        if self.exact_norms is not None:
-            return self.exact_norms
-        return np.linalg.norm(self.modes, axis=0)
+        return np.linalg.norm(self.modes, axis=0) if self.exact_norms is None else self.exact_norms
 
     @property
     def n_modes(self) -> int:
@@ -351,8 +349,7 @@ def _decompose(
     projected routes, null-space modes are settled here by
     :func:`_exact_zero_mode`, which needs the images ``y``, and the exact
     route lifts its modes once, transiently, for the norms that fix
-    their order and that :func:`spectrum` reads. The joint routes' u is
-    a view of q, so no route holds it twice.
+    their order and that :func:`spectrum` reads.
     """
     u = op.svd_of_x.u
     if complement is None:
@@ -382,9 +379,11 @@ def _decompose(
 
     scale = _column_scale(reduced)
     order = _canonical_order(lam, norms * np.abs(scale))
-    if algorithm == "exact":  # the bits exact_modes reads, so spectrum need not lift
+    if algorithm == "exact":  # the norms of exact_modes, bit for bit, so spectrum need not lift
         modes *= scale[~follower]
-        exact_norms = np.linalg.norm(_spread(modes, source[order], follower[order]), axis=0)
+        if modes.shape[1] == 1:  # numpy sums one column pairwise, but a wider array row by row
+            modes, source = _spread(modes, source, follower), np.arange(len(lam))
+        exact_norms = np.linalg.norm(modes, axis=0)[source[order]]
     scale = scale[order]
     return DmdDecomposition(
         eigenvalues=lam[order],

@@ -406,6 +406,19 @@ class TestSpectrum:
             assert abs(p.growth_continuous) < 1e-12
             assert abs(p.growth_discrete - 1.0) < 1e-12
 
+    def test_mode_norms_of_a_lone_conjugate_pair_are_the_modes_norms(self):
+        """The exact route keeps its mode norms. numpy sums a lone column
+        pairwise but each column of a wider array row by row, so a family
+        of one conjugate pair, lifted as one lead column, must still give
+        the bits of its two-column modes, at any number of states."""
+        theta = np.arange(30) * np.pi / 5
+        basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((100, 2)))
+        z = basis @ (0.99 ** np.arange(30) * np.vstack([np.cos(theta), np.sin(theta)]))
+        dec = exact_dmd(pairs_from_sequence(z))
+        assert dec.n_modes == 2 and dec.eigenvalues[0] == dec.eigenvalues[1].conj()
+        got = np.array([p.mode_norm for p in spectrum(dec)])
+        assert got.tobytes() == np.linalg.norm(dec.modes, axis=0).tobytes()
+
     def test_weighted_norm_uses_eigenvalue_power(self):
         z = gen_two_timescale(1.0, 0.2, 50, 4, decay_fast=-0.5, decay_slow=-0.1)
         dec = exact_dmd(pairs_from_sequence(z))
