@@ -117,7 +117,7 @@ class DmdDecomposition:
 
     Every other per-mode array is index-paired with the eigenvalues,
     ``exact_norms`` too: the exact route's mode 2-norms (else None), for
-    :attr:`mode_norms`. On QR and sequential, ``svd_of_x.u`` is q's lead.
+    :attr:`mode_norms`. On QR and sequential, ``svd_of_x.u`` is a view of q.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
