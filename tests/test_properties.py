@@ -370,9 +370,9 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
             except ValueError:  # zero eigenvalues, no modes, or a cluster
                 pass
         norms = np.linalg.norm(dec.modes, axis=0)
-        for held in rescaled:
-            got = np.array([p.mode_norm for p in spectrum(held)], dtype=np.float64)
-            assert got.tobytes() == norms.tobytes(), (dec.algorithm, held.scaling)
+        for scaled in rescaled:
+            got = np.array([p.mode_norm for p in spectrum(scaled)], dtype=np.float64)
+            assert got.tobytes() == norms.tobytes(), (dec.algorithm, scaled.scaling)
         psi_all = dec.adjoint_modes
         assert psi_all.shape == phi.shape, dec.algorithm
         for lam, psi in zip(dec.eigenvalues, psi_all.T):
@@ -389,8 +389,8 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
         assert not joint or np.shares_memory(u, dec.left_basis), dec.algorithm
         b = (pairs.y @ dec.svd_of_x.v) / dec.svd_of_x.sigma[None, :]
         state_size = _state_size_arrays(dec, z.shape[0])
-        width = dec.left_basis.shape[1] if joint else 2 * dec.svd_of_x.rank
-        assert _buffer_bytes(state_size) <= z.shape[0] * width * u.itemsize, dec.algorithm
+        cols = dec.left_basis.shape[1] if joint else 2 * dec.svd_of_x.rank
+        assert _buffer_bytes(state_size) <= z.shape[0] * cols * u.itemsize, dec.algorithm
         for held in state_size:
             assert complex_data or held.dtype == np.float64, dec.algorithm
             width = held.shape[1]
