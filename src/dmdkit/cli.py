@@ -12,7 +12,8 @@ File conventions
     optional single header row (skipped with --header). Values are
     written with repr(), so parsing a written file reproduces the exact
     float64 bits; identical config + inputs + seed give byte-identical
-    outputs.
+    outputs on the same numpy, scipy and BLAS build at the same BLAS
+    thread count (another thread count may round products differently).
     Complex matrices (modes.csv, green.csv, realization blocks): rows
     interleave real and imaginary parts per state entry, row 2i holding
     Re(entry i) and row 2i+1 holding Im(entry i).

@@ -27,6 +27,7 @@ space is a product with a real matrix (:func:`_lift`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +131,7 @@ class DmdDecomposition:
     Modes are ordered by descending mode 2-norm, ties broken by
     descending |lambda| then ascending arg(lambda), which keeps
     conjugate pairs adjacent. The norm used is that of the algorithm's
-    own modes (see :attr:`modes`).
+    own modes (see :attr:`modes`); on the exact route, ``exact_norms``.
     """
 
     eigenvalues: np.ndarray
@@ -157,7 +158,6 @@ class DmdDecomposition:
         modes, source, follower = _image_modes(
             self.exact_basis, self.svd_of_x.u, self.exact_vectors, self.exact_divisors
         )
-        modes *= _column_scale(self.exact_vectors)[~follower]
         return _spread(modes, source[self.exact_order], follower[self.exact_order])
 
     @property
@@ -285,12 +285,12 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> bool:
 def _image_modes(
     b: np.ndarray, u: np.ndarray, vectors: np.ndarray, divisors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unscaled exact modes b w / d of the lead columns (see :func:`_leads`).
+    """Exact modes b w / d, times :func:`_column_scale`, of the lead columns.
 
     A divisor d of 0 gives u w instead. A follower's w and d are the
-    exact conjugates of its lead's, and so is its mode: the lead index
-    and follower mask are returned for :func:`_spread` to rebuild every
-    column with.
+    exact conjugates of its lead's (see :func:`_leads`), and so is its
+    mode: the lead index and follower mask are returned for
+    :func:`_spread` to rebuild every column with.
     """
     lifted, source, follower = _leads(b, vectors)
     lead_vectors, lead_divisors = vectors[:, ~follower], divisors[~follower]
@@ -298,6 +298,7 @@ def _image_modes(
     modes = _divide(lifted, np.where(vanished, 1.0, lead_divisors))
     for j in np.flatnonzero(vanished):
         modes[:, j] = _lift(u, lead_vectors[:, j])
+    modes *= _column_scale(vectors)[~follower]
     return modes, source, follower
 
 
@@ -366,24 +367,20 @@ def _decompose(
 
     vectors = eig.vectors[:, kept]
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
+    scale = _column_scale(reduced)
     joint = algorithm in ("qr", "sequential")
-    norms = np.linalg.norm(vectors, axis=0)  # modes q v and u w have the norms of v and w
-    exact_norms = None
+    norms = np.linalg.norm(vectors, axis=0) * np.abs(scale)  # q v and u w: norms of v and w
     if not joint:
         divisors = lam.copy()
         for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
             divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j], y) else 0.0
-        if algorithm == "exact":
+        if algorithm == "exact":  # the norms of exact_modes, bit for bit, so spectrum need not lift
             modes, source, follower = _image_modes(op.b, u, vectors, divisors)
+            if modes.shape[1] == 1:  # numpy sums one column pairwise, but a wider array row by row
+                modes, source = _spread(modes, source, follower), np.arange(len(lam))
             norms = np.linalg.norm(modes, axis=0)[source]
 
-    scale = _column_scale(reduced)
-    order = _canonical_order(lam, norms * np.abs(scale))
-    if algorithm == "exact":  # the norms of exact_modes, bit for bit, so spectrum need not lift
-        modes *= scale[~follower]
-        if modes.shape[1] == 1:  # numpy sums one column pairwise, but a wider array row by row
-            modes, source = _spread(modes, source, follower), np.arange(len(lam))
-        exact_norms = np.linalg.norm(modes, axis=0)[source[order]]
+    order = _canonical_order(lam, norms)
     scale = scale[order]
     return DmdDecomposition(
         eigenvalues=lam[order],
@@ -394,7 +391,7 @@ def _decompose(
         exact_vectors=vectors[:, order] * scale if joint else vectors,
         exact_divisors=None if joint else divisors,
         exact_order=None if joint else order,
-        exact_norms=exact_norms,
+        exact_norms=norms[order] if algorithm == "exact" else None,
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=replace(op.svd_of_x, u=basis[:, : u.shape[1]]),  # a view of q on QR, sequential
@@ -579,6 +576,8 @@ def reconstruct(dec: DmdDecomposition, x) -> Reconstruction:
     span end up in the residual, never hidden.
     """
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("state contains non-finite entries")
     modes = dec.modes
     if vec.shape[0] != modes.shape[0]:
         raise DimensionError(
@@ -592,10 +591,16 @@ def reconstruct(dec: DmdDecomposition, x) -> Reconstruction:
 
 
 def propagate(dec: DmdDecomposition, coefficients, steps: int) -> np.ndarray:
-    """Advance a mode expansion k steps: sum_j lambda_j^k c_j phi_j."""
+    """Advance a mode expansion k = ``steps`` >= 0 steps: sum_j lambda_j^k c_j phi_j."""
     c = np.asarray(coefficients, dtype=np.complex128).reshape(-1)
     if c.shape[0] != dec.n_modes:
         raise DimensionError(f"expected {dec.n_modes} coefficients, got {c.shape[0]}")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients contain non-finite entries")
+    try:
+        steps = operator.index(steps)
+    except TypeError:
+        raise ValueError(f"steps must be an integer, got {steps!r}") from None
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     return dec.modes @ (c * dec.eigenvalues**steps)

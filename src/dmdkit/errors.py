@@ -33,7 +33,7 @@ class EigensolverError(DmdkitError):
 
 
 class ParseError(DmdkitError):
-    """An input file could not be parsed as numeric CSV."""
+    """Input is not numbers: a file that is not numeric CSV, or a str or object array."""
 
 
 class ConfigError(DmdkitError):

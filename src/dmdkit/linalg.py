@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, EigensolverError, RankZeroError
+from .errors import DimensionError, EigensolverError, ParseError, RankZeroError
 
 __all__ = [
     "ReducedSvd",
@@ -43,11 +43,14 @@ def _working_dtype(*arrays) -> type:
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D float64 or complex128 array.
 
-    Complex input stays complex128; anything else becomes float64.
+    Complex input stays complex128; other numbers and booleans become
+    float64, and any other dtype (strings, objects) is refused.
     """
     arr = np.asarray(a)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biufc":
+        raise ParseError(f"{name} must hold numbers, got dtype {arr.dtype}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr, dtype=_working_dtype(arr))

@@ -40,15 +40,19 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
     """Coerce a snapshot collection to an (n, count) matrix.
 
     Accepts a 2-D array (columns already snapshots), a sequence of 1-D
-    vectors, or a sequence of scalars (treated as 1-D states). Complex
-    data comes back complex128 and everything else float64, so real
+    vectors, or a sequence of scalars (treated as 1-D states); a
+    snapshot with more than one dimension is refused. Complex data
+    comes back complex128 and everything else float64, so real
     snapshots are decomposed in real arithmetic.
     """
     if isinstance(z, np.ndarray) and z.ndim == 2:
         mat = z
     else:
         try:
-            mat = np.column_stack([np.atleast_1d(np.asarray(c)) for c in z])
+            snapshots = [np.atleast_1d(np.asarray(c)) for c in z]
+            if any(c.ndim > 1 for c in snapshots):
+                raise DimensionError(f"{name}: snapshots must be scalars or 1-D vectors")
+            mat = np.column_stack(snapshots)
         except ValueError as exc:
             raise DimensionError(f"{name}: snapshots have inconsistent lengths") from exc
     mat = _as_matrix(mat, name)

@@ -44,13 +44,15 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
     if k == 0:
         return replace(dec, scaling="biorthogonal")
     scale = float(np.max(np.abs(lam)))
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(lam[i] - lam[j]) <= _GAP_TOL * scale:
-                raise ValueError(
-                    "eigenvalues {} and {} coincide within {:g}; biorthogonal "
-                    "pairing is ill-defined".format(lam[i], lam[j], _GAP_TOL)
-                )
+    gap = lam[:, None] - lam[None, :]
+    # hypot gives abs(lam[i] - lam[j]) bit for bit; np.abs of a complex array may not
+    close = np.triu(np.hypot(gap.real, gap.imag) <= _GAP_TOL * scale, 1)
+    if close.any():
+        i, j = np.argwhere(close)[0]  # the first pair in row-major order
+        raise ValueError(
+            "eigenvalues {} and {} coincide within {:g}; biorthogonal "
+            "pairing is ill-defined".format(lam[i], lam[j], _GAP_TOL)
+        )
     phi = dec.modes
     gram_diag = np.einsum("ij,ij->j", dec.adjoint_modes.conj(), phi)
     floor = 1e-10 * np.linalg.norm(phi, axis=0)

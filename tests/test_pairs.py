@@ -16,7 +16,7 @@ from dmdkit import (
     snapshot_matrix,
     subtract_mean,
 )
-from dmdkit.errors import DimensionError
+from dmdkit.errors import DimensionError, ParseError
 from dmdkit.pairs import _series
 
 
@@ -29,6 +29,20 @@ def test_snapshot_matrix_accepts_list_of_vectors():
 def test_snapshot_matrix_accepts_scalar_sequence():
     mat = snapshot_matrix([1.0, 0.5, 0.25])
     assert mat.shape == (1, 3)
+
+
+@pytest.mark.parametrize(
+    "z", [np.zeros((2, 3, 4)), [np.zeros((2, 2)), np.zeros((2, 2))]], ids=["3-D", "2-D snapshots"]
+)
+def test_snapshots_with_more_than_one_dimension_are_refused(z):
+    # Column-stacking the blocks once turned a 2x3x4 array into 3x7 pairs.
+    with pytest.raises(DimensionError, match="scalars or 1-D vectors"):
+        pairs_from_sequence(z)
+
+
+def test_non_numeric_snapshots_are_a_parse_error():
+    with pytest.raises(ParseError, match="must hold numbers"):
+        snapshot_matrix(np.array([["1.0", "2.0"], ["3.0", "x"]]))
 
 
 def test_pairs_from_arrays_basic():

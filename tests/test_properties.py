@@ -5,6 +5,7 @@ deterministic and runs in a few seconds. Examples are drawn as shapes
 and an RNG seed; numpy generates the Gaussian entries.
 """
 
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import (
+    DmdkitError,
+    SnapshotPairs,
     build_hankel,
     eig_dense,
     era_dmd_similarity,
@@ -26,12 +29,15 @@ from dmdkit import (
     pairs_from_arrays,
     pairs_from_sequence,
     projected_dmd,
+    propagate,
+    reconstruct,
     reduced_svd,
     scale_amplitudes,
     scale_biorthogonal,
     spectrum,
     subtract_mean,
 )
+from dmdkit.dmd import _canonical_order
 
 PROFILE = settings(derandomize=True, max_examples=80, deadline=None, database=None)
 
@@ -460,3 +466,88 @@ def test_hankel_pair_matches_a_block_loop_for_every_split(case):
             want = _hankel_by_block_loop(source, m_c, m_o)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+@PROFILE
+@given(sequences(), st.booleans(), st.booleans())
+def test_exact_route_is_sorted_on_the_norms_it_reports(z, keep_zero, complex_data):
+    """The canonical order of the exact route keys on the very norms
+    stored as ``exact_norms`` (and printed as ``mode_norm``), so sorting
+    the decomposition again leaves it in place."""
+    if complex_data:
+        z = z * np.exp(1j * np.arange(z.shape[0]))[:, None]
+    dec = exact_dmd(pairs_from_sequence(z), include_zero_modes=keep_zero)
+    order = _canonical_order(dec.eigenvalues, dec.exact_norms)
+    assert np.array_equal(order, np.arange(dec.n_modes))
+
+
+_HOSTILE = ("3-D", "str", "nan", "inf", "empty", "ragged")
+
+
+@st.composite
+def hostile(draw, shape):
+    """A Gaussian array of ``shape`` spoiled in one way from ``_HOSTILE``."""
+    a = np.random.default_rng(draw(seeds)).standard_normal(shape)
+    kind = draw(st.sampled_from(_HOSTILE))
+    spot = tuple(draw(st.integers(0, size - 1)) for size in shape)
+    if kind == "3-D":
+        return a.reshape(shape + (1,) * (3 - len(shape))) * np.ones(draw(st.integers(1, 2)))
+    if kind == "str":
+        a = a.astype("U32")
+        a[spot] = draw(st.sampled_from(["x", "", "nan", "1e400"]))
+        return a
+    if kind in ("nan", "inf"):
+        a[spot] = np.nan if kind == "nan" else draw(st.sampled_from([np.inf, -np.inf]))
+        return a
+    if kind == "empty":
+        return draw(st.sampled_from([[], np.empty(shape[:-1] + (0,)), np.empty((0,) + shape[1:])]))
+    if len(shape) == 1:
+        return [a.tolist(), [1.0, 2.0]]
+    return [*a.T, np.append(a[:, 0], 1.0)]
+
+
+def _refused_or_finite(call, *, refused=False):
+    """``call()`` either raises a DmdkitError or ValueError that carries a
+    message, or (unless ``refused``) returns only finite numbers; a
+    warning counts as neither."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except (DmdkitError, ValueError) as exc:
+            assert str(exc), type(exc).__name__
+            return
+    assert not refused, out
+    held = [out] if isinstance(out, np.ndarray) else [getattr(out, f.name) for f in fields(out)]
+    for value in held:
+        if isinstance(value, (np.ndarray, float)):
+            assert np.all(np.isfinite(value))
+
+
+@PROFILE
+@given(st.data())
+def test_hostile_input_is_refused_with_a_message(data):
+    """3-D, str, nan/inf, empty and ragged input, and a fractional,
+    infinite or negative step count, end in a refusal with a message at
+    every public gate, never in another exception, a warning or a
+    non-finite result. Snapshots and step counts are always refused; a
+    state or coefficient vector may pass where it still reads as finite
+    numbers of the right count (a 1-D state reshaped to 3-D, or numeric
+    strings)."""
+    n, count = data.draw(dims), data.draw(st.integers(min_value=2, max_value=6))
+    z = data.draw(hostile((n, count)))
+    _refused_or_finite(lambda: pairs_from_sequence(z), refused=True)
+    _refused_or_finite(lambda: pairs_from_arrays(z, z), refused=True)
+    _refused_or_finite(lambda: exact_dmd_sequential(z), refused=True)
+    if isinstance(z, np.ndarray) and z.ndim == 2:  # past the pair constructors' own gate
+        for route in (exact_dmd, projected_dmd, exact_dmd_qr):
+            _refused_or_finite(lambda: route(SnapshotPairs(x=z, y=z)), refused=True)
+
+    dec = exact_dmd(pairs_from_sequence(np.random.default_rng(n).standard_normal((n, count))))
+    state = data.draw(hostile((n,)))
+    _refused_or_finite(lambda: reconstruct(dec, state))
+    steps = data.draw(st.one_of(st.floats(), st.integers(max_value=-1)))
+    _refused_or_finite(lambda: propagate(dec, np.ones(dec.n_modes), steps), refused=True)
+    if dec.n_modes:
+        coefficients = data.draw(hostile((dec.n_modes,)))
+        _refused_or_finite(lambda: propagate(dec, coefficients, 1))

@@ -1,5 +1,7 @@
 """Tests for mode scaling conventions and amplitude fitting."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,45 @@ class TestBiorthogonal:
         dec = exact_dmd(pairs)
         with pytest.raises(ValueError, match="coincide"):
             scale_biorthogonal(dec)
+
+    @staticmethod
+    def _first_close_pair(lam):
+        """The refusal's reference: a loop over i < j in row-major order."""
+        scale = float(np.max(np.abs(lam)))
+        for i in range(len(lam)):
+            for j in range(i + 1, len(lam)):
+                if abs(lam[i] - lam[j]) <= 1e-9 * scale:
+                    return i, j
+        return None
+
+    def _assert_refusal_matches_the_loop(self, dec, lam):
+        dec = replace(dec, eigenvalues=lam)
+        pair = self._first_close_pair(lam)
+        if pair is None:
+            scale_biorthogonal(dec)
+            return
+        with pytest.raises(ValueError) as refusal:
+            scale_biorthogonal(dec)
+        i, j = pair
+        assert str(refusal.value).startswith(f"eigenvalues {lam[i]} and {lam[j]} coincide")
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_refusal_matches_the_pairwise_loop(self, seed):
+        # Three planted pairs; the loop names the one it meets first.
+        rng = np.random.default_rng(seed)
+        lam = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        for _ in range(3):
+            i, j = rng.choice(12, 2, replace=False)
+            lam[j] = lam[i] + 1e-9 * rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        dec = exact_dmd(pairs_from_arrays(np.eye(12), np.diag(np.arange(1.0, 13.0))))
+        self._assert_refusal_matches_the_loop(dec, lam)
+
+    def test_refusal_matches_the_pairwise_loop_at_the_tolerance(self):
+        # Gaps of exactly the tolerance in every direction; numpy's
+        # vectorized complex abs rounds some of them across it.
+        dec = exact_dmd(pairs_from_arrays(np.eye(3), np.diag([0.2, 0.5, 0.9])))
+        for theta in np.linspace(0.0, 2.0 * np.pi, 400):
+            self._assert_refusal_matches_the_loop(dec, np.array([1e-9 * np.exp(1j * theta), 0.0, 1.0]))
 
     @pytest.mark.parametrize("scale", [1e-30, 1e-200, 1e200])
     def test_distinct_eigenvalues_pass_at_any_spectrum_scale(self, scale):
