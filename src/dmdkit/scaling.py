@@ -40,12 +40,10 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
     largest magnitude, where the pairing is not well defined.
     """
     lam = dec.eigenvalues
-    k = len(lam)
-    if k == 0:
+    if len(lam) == 0:
         return replace(dec, scaling="biorthogonal")
     scale = float(np.max(np.abs(lam)))
-    gap = lam[:, None] - lam[None, :]
-    # hypot gives abs(lam[i] - lam[j]) bit for bit; np.abs of a complex array may not
+    gap = lam[:, None] - lam[None, :]  # hypot is abs(lam[i] - lam[j]) bit for bit, np.abs is not
     close = np.triu(np.hypot(gap.real, gap.imag) <= _GAP_TOL * scale, 1)
     if close.any():
         i, j = np.argwhere(close)[0]  # the first pair in row-major order
