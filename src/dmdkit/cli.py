@@ -58,7 +58,7 @@ from .errors import (
     ParseError,
     RankZeroError,
 )
-from .linalg import eig_dense
+from .linalg import _shared_factorizations, eig_dense
 from .pairs import (
     _require_series,
     _series,
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise"), _shared_factorizations():
             args.run(args)
         return 0
     except ConfigError as exc:

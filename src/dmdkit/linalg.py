@@ -8,10 +8,18 @@ carried as float64 and complex input as complex128, so every
 factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
+
+Within one run (a CLI command, or one :func:`~dmdkit.era.era_dmd_similarity`
+or :func:`~dmdkit.lim.lim_dmd_equivalence` call), :func:`reduced_svd`
+factors each matrix once: a call on a matrix equal bit for bit, in dtype
+and shape too, reuses the read-only LAPACK factors and makes its own
+rank cut. Direct calls of the decomposition routes factor on every call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +41,7 @@ _EIG_TOL = 1e-9
 # LAPACK geev rescales a matrix whose largest entry lies outside
 # [_GEEV_LOW, 1 / _GEEV_LOW] = [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138].
 _GEEV_LOW = float(np.sqrt(np.finfo(np.float64).tiny)) / _EPS
+_HELD = contextvars.ContextVar("_HELD", default=None)  # in a run: [(dtype, bits, factors)]
 
 
 def _working_dtype(*arrays) -> type:
@@ -141,6 +150,30 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
     return cut
 
 
+@contextlib.contextmanager
+def _shared_factorizations():
+    """Open a run, or join the open one; usable as a decorator too."""
+    token = _HELD.set([] if _HELD.get() is None else _HELD.get())
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+def _factor(xm: np.ndarray):
+    """LAPACK's compact ``(u, s, vh)`` of ``xm``, factored once per run."""
+    held, bits = _HELD.get(), xm.view(np.uint64)  # as bits, 0.0 and -0.0 differ
+    for dtype, key, factors in held or ():
+        if dtype == xm.dtype and np.array_equal(key, bits):
+            return factors
+    factors = np.linalg.svd(xm, full_matrices=False)
+    if held is not None:
+        for a in factors:
+            a.flags.writeable = False
+        held.append((xm.dtype, bits.copy(), factors))
+    return factors
+
+
 def reduced_svd(
     x,
     *,
@@ -162,7 +195,7 @@ def reduced_svd(
     n, m = xm.shape
     if n == 0 or m == 0:
         raise DimensionError("x must have at least one row and one column")
-    u, s, vh = np.linalg.svd(xm, full_matrices=False)
+    u, s, vh = _factor(xm)
     cut = _svd_threshold((n, m), s, rtol, atol)
     r = int(np.sum(s > cut))
     if r == 0:

@@ -49,7 +49,13 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
         mat = z
     else:
         try:
-            snapshots = [np.atleast_1d(np.asarray(c)) for c in z]
+            columns = iter(z)
+        except TypeError:  # a scalar or a 0-d array
+            raise DimensionError(f"{name} must be a sequence of snapshots, not {z!r}") from None
+        try:
+            snapshots = [np.atleast_1d(np.asarray(c)) for c in columns]
+            if not snapshots:
+                raise DimensionError(f"{name} is empty")
             if any(c.ndim > 1 for c in snapshots):
                 raise DimensionError(f"{name}: snapshots must be scalars or 1-D vectors")
             mat = np.column_stack(snapshots)
@@ -80,11 +86,16 @@ class SnapshotPairs:
     dt: float | None = None
 
     def __post_init__(self):
+        for name in ("x", "y"):  # an ndarray, views included, is kept as it is
+            arr = np.asarray(getattr(self, name))
+            if arr.ndim != 2:
+                raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+            object.__setattr__(self, name, arr)
         if self.x.shape != self.y.shape:
             raise DimensionError(
                 f"x and y must have equal shapes, got {self.x.shape} and {self.y.shape}"
             )
-        if self.x.ndim != 2 or self.x.shape[1] < 1:
+        if self.x.shape[1] < 1:
             raise DimensionError("pairs need at least one column")
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive when given")

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmdkit import linalg
 from dmdkit.cli import main, read_matrix, write_complex_matrix, write_real_matrix
 from dmdkit.dmd import exact_dmd
 from dmdkit.errors import ParseError
@@ -470,6 +471,46 @@ class TestLimCommand:
         assert report["mean"] == "x"
         green = read_matrix(os.path.join(outdir, "green.csv"))
         assert green.shape[0] % 2 == 0
+
+
+def _command(kind, tmp_path):
+    """argv (without --output-dir) for one era, lim or dmd run on a fresh input."""
+    if kind == "era":
+        src = str(tmp_path / "markov.csv")
+        write_real_matrix(src, np.array([[0.9**k + (-0.4) ** k for k in range(9)]]))
+        return ["era", "--input", src]
+    if kind == "lim":
+        src = str(tmp_path / "z.csv")
+        main(["gen", "--kind", "random-linear", "--dim", "4", "--steps", "40",
+              "--seed", "6", "--output", src])
+        return ["lim", "--input", src]
+    return ["dmd", "--input", _series_csv(tmp_path), "--scaling", "amplitude-qr"]
+
+
+class TestOneFactorizationPerRun:
+    @pytest.mark.parametrize("kind", ["era", "lim", "dmd"])
+    def test_each_run_factors_its_one_matrix_once(self, tmp_path, lapack_svds, kind):
+        argv = _command(kind, tmp_path)
+        assert main(argv + ["--output-dir", str(tmp_path / "a")]) == 0
+        assert len(lapack_svds) == 1
+        assert main(argv + ["--output-dir", str(tmp_path / "b")]) == 0
+        assert len(lapack_svds) == 2  # nothing is carried from one run to the next
+        assert lapack_svds[0] == lapack_svds[1]
+        for name in os.listdir(tmp_path / "a"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_qr_route_factors_x_and_the_part_of_y_outside_its_range(self, tmp_path, lapack_svds):
+        src = str(tmp_path / "z.csv")
+        main(["gen", "--kind", "random-linear", "--dim", "40", "--steps", "12", "--output", src])
+        assert main(["dmd", "--input", src, "--algorithm", "qr",
+                     "--output-dir", str(tmp_path / "out")]) == 0
+        assert lapack_svds == [(40, 11), (40, 11)]
+
+    def test_a_failed_run_holds_nothing_afterwards(self, tmp_path):
+        src = tmp_path / "zero.csv"
+        src.write_text("0,0,0\n0,0,0\n")
+        assert main(["dmd", "--input", str(src), "--output-dir", str(tmp_path / "out")]) == 5
+        assert linalg._HELD.get() is None
 
 
 # One-row series x, y whose operator y / x lies outside LAPACK geev's

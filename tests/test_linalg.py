@@ -1,5 +1,9 @@
 """Tests for the dense linear algebra layer."""
 
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,8 +11,18 @@ from dmdkit import (
     EigenPairs,
     RankZeroError,
     ReducedSvd,
+    build_hankel,
     eig_dense,
+    era_dmd_similarity,
+    era_realize,
+    exact_dmd,
+    lim_dmd_equivalence,
+    lim_model,
+    linear_consistency,
+    markov_parameters,
+    pairs_from_sequence,
     reduced_svd,
+    subtract_mean,
 )
 from dmdkit import linalg
 from dmdkit.errors import DimensionError, EigensolverError
@@ -84,6 +98,149 @@ class TestReducedSvd:
         svd = reduced_svd(np.eye(3))
         assert isinstance(svd, ReducedSvd)
         assert svd.truncation_tol > 0
+
+
+class TestSharedFactorizations:
+    def test_calls_outside_a_run_factor_every_time(self, lapack_svds):
+        z = np.random.default_rng(0).standard_normal((6, 5))
+        reduced_svd(z)
+        reduced_svd(z)
+        pairs = pairs_from_sequence(z)
+        linear_consistency(pairs)
+        exact_dmd(pairs)
+        assert lapack_svds == [(6, 5), (6, 5), (6, 4), (6, 4)]
+
+    def test_a_run_factors_each_matrix_once_and_cuts_per_call(self, lapack_svds):
+        x = np.diag([1.0, 1e-6, 1e-12])
+        with linalg._shared_factorizations():
+            ranks = [reduced_svd(x).rank, reduced_svd(x, rtol=1e-9).rank,
+                     reduced_svd(x, atol=1e-3).rank]
+            assert reduced_svd(x.copy()).truncation_tol == reduced_svd(x).truncation_tol
+        assert ranks == [3, 2, 1]
+        assert lapack_svds == [(3, 3)]
+        reduced_svd(x)  # the run is over: nothing is held
+        assert lapack_svds == [(3, 3), (3, 3)]
+
+    def test_shared_factors_equal_fresh_ones_bit_for_bit(self):
+        x = np.random.default_rng(1).standard_normal((7, 4)) + 1j
+        fresh = reduced_svd(x)
+        with linalg._shared_factorizations():
+            reduced_svd(x, rtol=0.5)
+            shared = reduced_svd(x)
+        for field in ("u", "sigma", "v", "rank", "truncation_tol"):
+            assert np.array_equal(getattr(shared, field), getattr(fresh, field)), field
+
+    def test_a_matrix_differing_in_one_bit_dtype_or_shape_is_factored_anew(self, lapack_svds):
+        x = np.random.default_rng(2).standard_normal((4, 6))
+        x[0, 0] = 0.0
+        negative_zero = x.copy()
+        negative_zero[0, 0] = -0.0
+        as_complex = x.view(np.complex128)  # the same bits, read as 4 x 3 complex
+        reshaped = x.reshape(6, 4)  # the same bits in the same order
+        with linalg._shared_factorizations():
+            for a in (x, negative_zero, as_complex, reshaped, x, negative_zero):
+                reduced_svd(a)
+        assert lapack_svds == [(4, 6), (4, 6), (4, 3), (6, 4)]
+
+    def test_a_caller_writing_into_its_matrix_gets_new_factors(self, lapack_svds):
+        x = np.random.default_rng(3).standard_normal((5, 3))
+        with linalg._shared_factorizations():
+            reduced_svd(x)
+            x[2, 1] += 1.0
+            got = reduced_svd(x)
+        assert len(lapack_svds) == 2
+        assert np.array_equal(got.sigma, reduced_svd(x).sigma)
+
+    def test_held_factors_are_read_only_inside_a_run(self):
+        x = np.random.default_rng(4).standard_normal((5, 3))
+        assert reduced_svd(x).u.flags.writeable  # outside a run, as always
+        with linalg._shared_factorizations():
+            svd = reduced_svd(x)
+            with pytest.raises(ValueError, match="read-only"):
+                svd.u[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                svd.v[0, 0] = 1.0
+
+    def test_a_nested_run_joins_the_outer_one(self, lapack_svds):
+        x = np.random.default_rng(5).standard_normal((5, 3))
+        with linalg._shared_factorizations():
+            with linalg._shared_factorizations():
+                reduced_svd(x)
+            reduced_svd(x)
+            assert linalg._HELD.get()
+        assert lapack_svds == [(5, 3)]
+
+    def test_a_failing_run_drops_what_it_held(self):
+        with pytest.raises(RankZeroError):
+            with linalg._shared_factorizations():
+                reduced_svd(np.eye(2))
+                reduced_svd(np.zeros((2, 2)))
+        assert linalg._HELD.get() is None
+
+    def test_runs_in_threads_hold_their_own_factors(self, lapack_svds):
+        x = np.random.default_rng(7).standard_normal((40, 12))
+        want = reduced_svd(x)
+        results, errors = [], []
+
+        def run():
+            try:
+                with linalg._shared_factorizations():
+                    got = [reduced_svd(x, rtol=rtol) for rtol in (None, 1e-3, None, 1e-1)]
+                results.append(got[0].sigma.tolist() == want.sigma.tolist()
+                               and np.array_equal(got[2].u, want.u)
+                               and linalg._HELD.get() is None)
+            except Exception as exc:  # re-raised in the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert results == [True] * 6
+        assert len(lapack_svds) == 1 + 6  # each thread's run factors x once
+
+    @staticmethod
+    def _assert_same_report(a, b):
+        for field in dataclasses.fields(a):
+            got, want = getattr(a, field.name), getattr(b, field.name)
+            assert np.array_equal(got, want), field.name
+
+    def test_era_report_is_the_same_inside_and_outside_a_run(self, lapack_svds):
+        a = np.diag([0.9, 0.5, -0.3])
+        seq = markov_parameters(a, [[1.0], [1.0], [1.0]], [[1.0, 0.5, 0.25]], count=9)
+        h, h_shift = build_hankel(seq)
+        alone = era_dmd_similarity(h, h_shift)
+        assert lapack_svds == [h.shape]
+        with linalg._shared_factorizations():
+            era_realize(h, h_shift, None, 1, 1)
+            joined = era_dmd_similarity(h, h_shift)
+        assert lapack_svds == [h.shape, h.shape]
+        unshared = era_dmd_similarity.__wrapped__(h, h_shift)
+        assert len(lapack_svds) == 5
+        for report in (joined, unshared):
+            self._assert_same_report(report, alone)
+
+    def test_lim_report_is_the_same_inside_and_outside_a_run(self, lapack_svds):
+        z = np.random.default_rng(6).standard_normal((4, 30))
+        pairs, _ = subtract_mean(pairs_from_sequence(z))
+        alone = lim_dmd_equivalence(pairs)
+        assert len(lapack_svds) == 1
+        with linalg._shared_factorizations():
+            lim_model(pairs)
+            joined = lim_dmd_equivalence(pairs)
+        assert len(lapack_svds) == 2
+        unshared = lim_dmd_equivalence.__wrapped__(pairs)
+        assert len(lapack_svds) == 4
+        for report in (joined, unshared):
+            self._assert_same_report(report, alone)
 
 
 class TestEigDense:

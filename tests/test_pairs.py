@@ -40,6 +40,45 @@ def test_snapshots_with_more_than_one_dimension_are_refused(z):
         pairs_from_sequence(z)
 
 
+@pytest.mark.parametrize("z", [[], (), np.empty(0)], ids=["list", "tuple", "0-length array"])
+def test_no_snapshots_at_all_is_empty_not_ragged(z):
+    with pytest.raises(DimensionError, match="snapshots is empty"):
+        pairs_from_sequence(z)
+
+
+@pytest.mark.parametrize("z", [3.0, np.array(2.0), None], ids=["float", "0-d array", "None"])
+def test_a_scalar_is_not_a_sequence_of_snapshots(z):
+    with pytest.raises(DimensionError, match="must be a sequence of snapshots"):
+        pairs_from_sequence(z)
+
+
+def test_ragged_snapshots_are_still_inconsistent_lengths():
+    with pytest.raises(DimensionError, match="inconsistent lengths"):
+        pairs_from_sequence([[1.0, 2.0], [3.0]])
+
+
+def test_pairs_built_directly_take_array_likes_and_keep_views():
+    pairs = SnapshotPairs(x=[[1.0]], y=[[1.0]])
+    assert isinstance(pairs.x, np.ndarray) and pairs.x.shape == (1, 1)
+    assert exact_dmd(pairs).eigenvalues.tolist() == [1.0]
+    z = np.arange(12.0).reshape(3, 4)
+    x, y = z[:, :-1], z[:, 1:]
+    view = SnapshotPairs(x=x, y=y)
+    assert view.x is x and view.y is y
+
+
+@pytest.mark.parametrize("x, y, message", [
+    ([1.0, 2.0], [[1.0, 2.0]], "x must be 2-D, got shape \\(2,\\)"),
+    ([[1.0, 2.0]], 3.0, "y must be 2-D, got shape \\(\\)"),
+    (np.ones((2, 2, 1)), np.ones((2, 2, 1)), "x must be 2-D"),
+    (np.ones((2, 0)), np.ones((2, 0)), "at least one column"),
+    (np.ones((2, 2)), np.ones((2, 3)), "equal shapes"),
+])
+def test_pairs_built_directly_refuse_bad_shapes(x, y, message):
+    with pytest.raises(DimensionError, match=message):
+        SnapshotPairs(x=x, y=y)
+
+
 def test_non_numeric_snapshots_are_a_parse_error():
     with pytest.raises(ParseError, match="must hold numbers"):
         snapshot_matrix(np.array([["1.0", "2.0"], ["3.0", "x"]]))
