@@ -18,8 +18,7 @@ import numpy as np
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
-from .linalg import _as_matrix, _max_residual, _shared_factorizations, _working_dtype
-from .linalg import eig_dense, reduced_svd
+from .linalg import _as_matrix, _max_residual, _working_dtype, eig_dense, reduced_svd
 from .pairs import pairs_from_arrays, pairs_from_strided
 
 __all__ = [
@@ -248,7 +247,6 @@ class EraDmdReport:
     order: int
 
 
-@_shared_factorizations()
 def era_dmd_similarity(
     h, h_shift, *, rtol: float | None = None, atol: float | None = None
 ) -> EraDmdReport:

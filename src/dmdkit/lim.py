@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmd import reduced_operator
-from .linalg import _norm, _shared_factorizations, _unit_scale
+from .linalg import _norm, _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = [
@@ -105,7 +105,6 @@ class LimDmdReport:
     equivalent: bool
 
 
-@_shared_factorizations()
 def lim_dmd_equivalence(
     pairs: SnapshotPairs,
     *,

@@ -9,11 +9,10 @@ factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 
-Within one run (a CLI command, or one :func:`~dmdkit.era.era_dmd_similarity`
-or :func:`~dmdkit.lim.lim_dmd_equivalence` call), :func:`reduced_svd`
-factors each matrix once: a call on a matrix equal bit for bit, in dtype
-and shape too, reuses the read-only LAPACK factors and makes its own
-rank cut. Direct calls of the decomposition routes factor on every call.
+Within one CLI command, :func:`reduced_svd` factors each matrix once: a
+call on a matrix equal bit for bit, in dtype and shape too, reuses the
+read-only LAPACK factors and makes its own rank cut. Direct library
+calls factor on every call.
 """
 
 from __future__ import annotations
@@ -152,8 +151,8 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
 
 @contextlib.contextmanager
 def _shared_factorizations():
-    """Open a run, or join the open one; usable as a decorator too."""
-    token = _HELD.set([] if _HELD.get() is None else _HELD.get())
+    """Hold factors until the block exits; ``cli.main`` runs each command in one."""
+    token = _HELD.set([])
     try:
         yield
     finally:
