@@ -33,7 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _divide, _norm, _svd_threshold, eig_dense, reduced_svd
+from .linalg import ReducedSvd, _divide, _norm, _shared_factorizations, _svd_threshold
+from .linalg import eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
 __all__ = [
@@ -83,8 +84,9 @@ def reduced_operator(
     rtol: float | None = None,
     atol: float | None = None,
 ) -> ReducedOperator:
-    """Compress A = y x^+ to the numerical column space of x."""
-    svd = reduced_svd(pairs.x, rtol=rtol, atol=atol)
+    """Compress A = y x^+ to the numerical column space of x, factored once per pairs object."""
+    with _shared_factorizations(pairs._factors_of_x):
+        svd = reduced_svd(pairs.x, rtol=rtol, atol=atol)
     b = (pairs.y @ svd.v) / svd.sigma[None, :]
     return ReducedOperator(a_tilde=svd.u.conj().T @ b, svd_of_x=svd, b=b)
 

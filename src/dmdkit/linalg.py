@@ -9,10 +9,13 @@ factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 
-Within one CLI command, :func:`reduced_svd` factors each matrix once: a
-call on a matrix equal bit for bit, in dtype and shape too, reuses the
-read-only LAPACK factors and makes its own rank cut. Direct library
-calls factor on every call.
+:func:`reduced_svd` factors each matrix once per holder: a call on a
+matrix equal bit for bit, in dtype and shape too, to a held one reuses
+its LAPACK factors and makes its own rank cut. A CLI command holds every
+matrix it factors; outside one, a pairs object holds the latest factors
+of its x for the library calls on it. A direct :func:`reduced_svd` call,
+``era_realize`` and ``exact_dmd_sequential(z)`` factor on every call.
+The factors are read-only on every path.
 """
 
 from __future__ import annotations
@@ -48,17 +51,30 @@ def _working_dtype(*arrays) -> type:
     return np.complex128 if any(np.iscomplexobj(a) for a in arrays) else np.float64
 
 
+def _numeric_2d(a, name: str) -> np.ndarray:
+    """``a`` as a 2-D array of numbers or booleans, copied only where numpy must.
+
+    Ragged rows and other dimensions are a :class:`DimensionError`;
+    strings, objects and other non-numeric dtypes a :class:`ParseError`.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError as exc:  # numpy refuses ragged nested sequences
+        raise DimensionError(f"{name} has rows of inconsistent lengths") from exc
+    if arr.ndim != 2:
+        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    if arr.dtype.kind not in "biufc":
+        raise ParseError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D float64 or complex128 array.
 
     Complex input stays complex128; other numbers and booleans become
     float64, and any other dtype (strings, objects) is refused.
     """
-    arr = np.asarray(a)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-    if arr.dtype.kind not in "biufc":
-        raise ParseError(f"{name} must hold numbers, got dtype {arr.dtype}")
+    arr = _numeric_2d(a, name)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return np.ascontiguousarray(arr, dtype=_working_dtype(arr))
@@ -150,25 +166,37 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
 
 
 @contextlib.contextmanager
-def _shared_factorizations():
-    """Hold factors until the block exits; ``cli.main`` runs each command in one."""
-    token = _HELD.set([])
+def _shared_factorizations(slot: list | None = None):
+    """Hold factors until the block exits; ``cli.main`` runs each command in one.
+
+    Given ``slot``, a pairs object's list of at most one entry, the block
+    starts from it and leaves the latest factors there, unless a command
+    is open: that run wins. Calls outside both factor on every call.
+    Threads sharing a slot may each factor; each leaves a valid entry.
+    """
+    if slot is not None and _HELD.get() is not None:
+        yield
+        return
+    held = list(slot or ())
+    token = _HELD.set(held)
     try:
         yield
     finally:
         _HELD.reset(token)
+        if slot is not None:
+            slot[:] = held[-1:]
 
 
 def _factor(xm: np.ndarray):
-    """LAPACK's compact ``(u, s, vh)`` of ``xm``, factored once per run."""
+    """LAPACK's compact, read-only ``(u, s, vh)`` of ``xm``, factored once per holder."""
     held, bits = _HELD.get(), xm.view(np.uint64)  # as bits, 0.0 and -0.0 differ
     for dtype, key, factors in held or ():
         if dtype == xm.dtype and np.array_equal(key, bits):
             return factors
     factors = np.linalg.svd(xm, full_matrices=False)
+    for a in factors:
+        a.flags.writeable = False
     if held is not None:
-        for a in factors:
-            a.flags.writeable = False
         held.append((xm.dtype, bits.copy(), factors))
     return factors
 

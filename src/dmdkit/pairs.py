@@ -17,12 +17,12 @@ Columns are snapshots everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _numeric_2d
 
 __all__ = [
     "SnapshotPairs",
@@ -84,13 +84,12 @@ class SnapshotPairs:
     x: np.ndarray
     y: np.ndarray
     dt: float | None = None
+    # The latest factors of x, shared by the library calls on these pairs.
+    _factors_of_x: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("x", "y"):  # an ndarray, views included, is kept as it is
-            arr = np.asarray(getattr(self, name))
-            if arr.ndim != 2:
-                raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _numeric_2d(getattr(self, name), name))
         if self.x.shape != self.y.shape:
             raise DimensionError(
                 f"x and y must have equal shapes, got {self.x.shape} and {self.y.shape}"

@@ -11,17 +11,21 @@ from dmdkit import (
     EigenPairs,
     RankZeroError,
     ReducedSvd,
+    SnapshotPairs,
     build_hankel,
     eig_dense,
     era_dmd_similarity,
     era_realize,
     exact_dmd,
+    exact_dmd_qr,
     lim_dmd_equivalence,
     lim_model,
     linear_consistency,
     markov_parameters,
     pairs_from_sequence,
+    projected_dmd,
     reduced_svd,
+    scale_amplitudes,
     subtract_mean,
 )
 from dmdkit import linalg
@@ -107,8 +111,8 @@ class TestSharedFactorizations:
         reduced_svd(z)
         pairs = pairs_from_sequence(z)
         linear_consistency(pairs)
-        exact_dmd(pairs)
-        assert lapack_svds == [(6, 5), (6, 5), (6, 4), (6, 4)]
+        exact_dmd(pairs)  # calls on one pairs object share the factors of its x
+        assert lapack_svds == [(6, 5), (6, 5), (6, 4)]
 
     def test_a_run_factors_each_matrix_once_and_cuts_per_call(self, lapack_svds):
         x = np.diag([1.0, 1e-6, 1e-12])
@@ -153,7 +157,7 @@ class TestSharedFactorizations:
 
     def test_held_factors_are_read_only_inside_a_run(self):
         x = np.random.default_rng(4).standard_normal((5, 3))
-        assert reduced_svd(x).u.flags.writeable  # outside a run, as always
+        assert not reduced_svd(x).u.flags.writeable  # outside a run too: one rule
         with linalg._shared_factorizations():
             svd = reduced_svd(x)
             with pytest.raises(ValueError, match="read-only"):
@@ -208,24 +212,118 @@ class TestSharedFactorizations:
         a = np.diag([0.9, 0.5, -0.3])
         seq = markov_parameters(a, [[1.0], [1.0], [1.0]], [[1.0, 0.5, 0.25]], count=9)
         h, h_shift = build_hankel(seq)
-        alone = era_dmd_similarity(h, h_shift)
-        assert lapack_svds == [h.shape] * 3
+        alone = era_dmd_similarity(h, h_shift)  # its pairs share one factorization
+        assert lapack_svds == [h.shape] * 2
         with linalg._shared_factorizations():
             era_realize(h, h_shift, None, 1, 1)
             shared = era_dmd_similarity(h, h_shift)
-        assert lapack_svds == [h.shape] * 4
+        assert lapack_svds == [h.shape] * 3
         self._assert_same_report(shared, alone)
 
     def test_lim_report_is_the_same_inside_and_outside_a_run(self, lapack_svds):
         z = np.random.default_rng(6).standard_normal((4, 30))
         pairs, _ = subtract_mean(pairs_from_sequence(z))
         alone = lim_dmd_equivalence(pairs)
-        assert len(lapack_svds) == 2
-        with linalg._shared_factorizations():
+        assert len(lapack_svds) == 1
+        with linalg._shared_factorizations():  # the open run wins over the pairs
             lim_model(pairs)
             shared = lim_dmd_equivalence(pairs)
-        assert len(lapack_svds) == 3
+        assert len(lapack_svds) == 2
         self._assert_same_report(shared, alone)
+
+
+def _same_bytes(a, b) -> bool:
+    """Whether two results agree field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return all(_same_bytes(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
+
+
+def _library_chain(pairs):
+    """The route calls of one library session, each on the pairs ``pairs()`` returns."""
+    dec = exact_dmd(pairs())
+    return [linear_consistency(pairs()), dec, projected_dmd(pairs()), exact_dmd_qr(pairs()),
+            scale_amplitudes(dec, pairs(), method="gram")]
+
+
+class TestPairsShareOneFactorization:
+    """Outside a CLI command, library calls on one pairs object factor its x once."""
+
+    def test_route_calls_on_one_pairs_factor_x_once(self, lapack_svds):
+        z = np.random.default_rng(8).standard_normal((30, 12))
+        pairs = pairs_from_sequence(z)
+        got = _library_chain(lambda: pairs)
+        assert lapack_svds == [(30, 11), (30, 11)]  # x, then the QR complement
+        want = _library_chain(lambda: pairs_from_sequence(z))  # a fresh pairs object per call
+        assert len(lapack_svds) == 2 + 5
+        for shared, fresh in zip(got, want):
+            assert _same_bytes(shared, fresh)
+
+    def test_fresh_pairs_from_the_same_series_factor_again(self, lapack_svds):
+        z = np.random.default_rng(9).standard_normal((8, 6))
+        for _ in range(2):
+            exact_dmd(pairs_from_sequence(z))
+            projected_dmd(pairs_from_sequence(z))
+        assert lapack_svds == [(8, 5)] * 4
+
+    @pytest.mark.parametrize("layout", ["view of the series", "own contiguous x"])
+    def test_writing_into_pairs_x_gives_new_factors_and_holds_one(self, lapack_svds, layout):
+        z = np.random.default_rng(10).standard_normal((7, 6))
+        if layout == "view of the series":
+            pairs, rebuild = pairs_from_sequence(z), lambda: pairs_from_sequence(z.copy())
+        else:
+            x, y = z[:, :-1].copy(), z[:, 1:].copy()
+            pairs = SnapshotPairs(x=x, y=y)
+            rebuild = lambda: SnapshotPairs(x=x.copy(), y=y.copy())  # noqa: E731
+        exact_dmd(pairs)
+        for k in range(3):
+            pairs.x[k, 1] += 1.0
+            got = exact_dmd(pairs)
+            assert _same_bytes(got, exact_dmd(rebuild()))
+            assert len(pairs._factors_of_x) == 1
+        assert len(lapack_svds) == 1 + 3 * 2  # each write: the pairs and the rebuilt ones
+
+    def test_copies_and_open_runs_leave_the_slot_alone(self):
+        pairs = pairs_from_sequence(np.random.default_rng(11).standard_normal((5, 9)))
+        exact_dmd(pairs)
+        assert len(pairs._factors_of_x) == 1
+        centered, _ = subtract_mean(pairs)
+        assert centered._factors_of_x == [] and dataclasses.replace(pairs)._factors_of_x == []
+        assert "_factors_of_x" not in repr(pairs)
+        with linalg._shared_factorizations():  # the run wins and holds x itself
+            exact_dmd(centered)
+            assert len(linalg._HELD.get()) == 1
+        assert centered._factors_of_x == []
+
+    def test_threads_on_one_shared_pairs_agree_bit_for_bit(self):
+        z = np.random.default_rng(12).standard_normal((60, 20))
+        pairs = pairs_from_sequence(z)
+        want = exact_dmd(pairs_from_sequence(z))
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(exact_dmd(pairs))
+            except Exception as exc:  # re-raised in the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert len(results) == 6 and all(_same_bytes(got, want) for got in results)
+        assert len(pairs._factors_of_x) == 1
 
 
 class TestEigDense:

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import (
+    DimensionError,
     DmdkitError,
+    ParseError,
     SnapshotPairs,
     build_hankel,
     eig_dense,
@@ -530,18 +532,24 @@ def test_hostile_input_is_refused_with_a_message(data):
     """3-D, str, nan/inf, empty and ragged input, and a fractional,
     infinite or negative step count, end in a refusal with a message at
     every public gate, never in another exception, a warning or a
-    non-finite result. Snapshots and step counts are always refused; a
-    state or coefficient vector may pass where it still reads as finite
-    numbers of the right count (a 1-D state reshaped to 3-D, or numeric
-    strings)."""
+    non-finite result. A directly built pair set refuses str and ragged
+    input with a typed error. Snapshots and step counts are always
+    refused; a state or coefficient vector may pass where it still reads
+    as finite numbers of the right count (a 1-D state reshaped to 3-D,
+    or numeric strings)."""
     n, count = data.draw(dims), data.draw(st.integers(min_value=2, max_value=6))
     z = data.draw(hostile((n, count)))
     _refused_or_finite(lambda: pairs_from_sequence(z), refused=True)
     _refused_or_finite(lambda: pairs_from_arrays(z, z), refused=True)
     _refused_or_finite(lambda: exact_dmd_sequential(z), refused=True)
-    if isinstance(z, np.ndarray) and z.ndim == 2:  # past the pair constructors' own gate
+    try:  # built directly, past the pair constructors' own gate
+        direct = SnapshotPairs(x=z, y=z)
+    except (DimensionError, ParseError) as exc:  # typed, never numpy's own refusal
+        assert str(exc)
+    else:  # no copy and no finiteness scan here: the routes refuse nan, inf and empty
+        assert isinstance(z, np.ndarray) and z.dtype.kind == "f"
         for route in (exact_dmd, projected_dmd, exact_dmd_qr):
-            _refused_or_finite(lambda: route(SnapshotPairs(x=z, y=z)), refused=True)
+            _refused_or_finite(lambda: route(direct), refused=True)
 
     dec = exact_dmd(pairs_from_sequence(np.random.default_rng(n).standard_normal((n, count))))
     state = data.draw(hostile((n,)))
