@@ -44,9 +44,9 @@ from . import lim as lim_mod
 from .dmd import (
     _followers,
     _rates,
+    _sequential,
     exact_dmd,
     exact_dmd_qr,
-    exact_dmd_sequential,
     linear_consistency,
     projected_dmd,
     spectrum,
@@ -58,10 +58,9 @@ from .errors import (
     ParseError,
     RankZeroError,
 )
-from .linalg import _shared_factorizations, eig_dense
+from .linalg import eig_dense
 from .pairs import (
     _require_series,
-    _series,
     delay_embed,
     pairs_from_arrays,
     pairs_from_sequence,
@@ -200,19 +199,12 @@ def _build_pairs(config: argparse.Namespace):
 
 
 def _decompose(config: argparse.Namespace, pairs):
-    kwargs = dict(
-        rtol=config.rank_rtol,
-        atol=config.rank_atol,
-        zero_tol=config.zero_tol,
-        include_zero_modes=config.include_zero_modes,
-    )
-    if config.algorithm == "exact":
-        return exact_dmd(pairs, **kwargs)
-    if config.algorithm == "projected":
-        return projected_dmd(pairs, **kwargs)
-    if config.algorithm == "qr":
-        return exact_dmd_qr(pairs, **kwargs)
-    return exact_dmd_sequential(_series(pairs), **kwargs)
+    if config.algorithm == "sequential":
+        _require_series(pairs)
+    route = {"exact": exact_dmd, "projected": projected_dmd, "qr": exact_dmd_qr,
+             "sequential": _sequential}[config.algorithm]
+    return route(pairs, rtol=config.rank_rtol, atol=config.rank_atol,
+                 zero_tol=config.zero_tol, include_zero_modes=config.include_zero_modes)
 
 
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -336,14 +328,9 @@ def _run_era(config: argparse.Namespace) -> None:
         )
     blocks = raw.T.reshape(-1, p, q).transpose(0, 2, 1)  # column-major blocks
     seq = era_mod.markov_from_blocks(blocks, stride=config.stride)
-    h, h_shift = era_mod.build_hankel(seq, m_c=config.mc, m_o=config.mo)
-    real = era_mod.era_realize(
-        h, h_shift, config.order, p, q,
-        rtol=config.rank_rtol, atol=config.rank_atol,
-    )
-    report = era_mod.era_dmd_similarity(
-        h, h_shift, rtol=config.rank_rtol, atol=config.rank_atol
-    )
+    hankel = era_mod._hankel_pair(*era_mod.build_hankel(seq, m_c=config.mc, m_o=config.mo))
+    real = era_mod._realize(hankel, config.order, p, q, config.rank_rtol, config.rank_atol)
+    report = era_mod._similarity(hankel, config.rank_rtol, config.rank_atol)
 
     os.makedirs(config.output_dir, exist_ok=True)
     poles = _sorted_eigenvalues(real.a_r)
@@ -359,7 +346,7 @@ def _run_era(config: argparse.Namespace) -> None:
         f"block_cols_p: {p}",
         f"stride: {config.stride}",
         f"markov_count: {len(seq.params)}",
-        f"hankel_shape: {h.shape[0]}x{h.shape[1]}",
+        f"hankel_shape: {hankel.x.shape[0]}x{hankel.x.shape[1]}",
         f"order: {real.order}",
         f"hankel_rank: {report.order}",
         f"poles: {len(poles)}",
@@ -556,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="raise"), _shared_factorizations():
+        with np.errstate(over="raise"):
             args.run(args)
         return 0
     except ConfigError as exc:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _divide, _norm, _shared_factorizations, _svd_threshold
+from .linalg import ReducedSvd, _divide, _held_in, _norm, _svd_threshold
 from .linalg import eig_dense, reduced_svd
 from .pairs import SnapshotPairs, pairs_from_sequence
 
@@ -85,7 +85,7 @@ def reduced_operator(
     atol: float | None = None,
 ) -> ReducedOperator:
     """Compress A = y x^+ to the numerical column space of x, factored once per pairs object."""
-    with _shared_factorizations(pairs._factors_of_x):
+    with _held_in(pairs._factors_of_x):
         svd = reduced_svd(pairs.x, rtol=rtol, atol=atol)
     b = (pairs.y @ svd.v) / svd.sigma[None, :]
     return ReducedOperator(a_tilde=svd.u.conj().T @ b, svd_of_x=svd, b=b)
@@ -510,7 +510,12 @@ def exact_dmd_sequential(
     range(x) and the output coincides with :func:`projected_dmd`; the
     exact and projected families are then identical.
     """
-    pairs = pairs_from_sequence(z, dt=dt)
+    return _sequential(pairs_from_sequence(z, dt=dt), rtol, atol, zero_tol, include_zero_modes)
+
+
+def _sequential(pairs: SnapshotPairs, rtol=None, atol=None, zero_tol=None,
+                include_zero_modes=False) -> DmdDecomposition:
+    """:func:`exact_dmd_sequential` on ``pairs`` that form one series, which it factors."""
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     rest, cut = _outside_range(op, pairs.y[:, -1:], rtol, atol)
     norm = _norm(rest)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
-from .linalg import _as_matrix, _max_residual, _working_dtype, eig_dense, reduced_svd
-from .pairs import pairs_from_arrays, pairs_from_strided
+from .linalg import _as_matrix, _held_in, _max_residual, _working_dtype, eig_dense, reduced_svd
+from .pairs import SnapshotPairs, pairs_from_strided
 
 __all__ = [
     "MarkovSequence",
@@ -118,15 +118,12 @@ def build_hankel(
     m = len(seq.params)
     if m_o is None and m_c is None:
         m_o = (m - 1) // 2
-        m_c = m - 1 - m_o
-    elif m_o is None:
-        m_o = m - 1 - int(m_c)
-    elif m_c is None:
-        m_c = m - 1 - int(m_o)
-    m_c = int(m_c)
-    m_o = int(m_o)
+    derived = "m_o" if m_o is None else "m_c" if m_c is None else None
+    m_c = m - 1 - int(m_o) if m_c is None else int(m_c)
+    m_o = m - 1 - m_c if m_o is None else int(m_o)
     if m_c < 0 or m_o < 0:
-        raise ValueError("m_c and m_o must be nonnegative")
+        why = f" ({derived} derived from m_c + m_o = len(params) - 1 = {m - 1})" if derived else ""
+        raise ValueError(f"m_c and m_o must be nonnegative, got m_c = {m_c} and m_o = {m_o}{why}")
     if m_c + m_o != m - 1:
         raise DimensionError(
             f"m_c + m_o must equal len(params) - 1 = {m - 1}, got {m_c} + {m_o}"
@@ -160,14 +157,14 @@ class EraRealization:
     singular_values: np.ndarray
 
 
-def _hankel_pair(h, h_shift) -> tuple[np.ndarray, np.ndarray]:
-    """Validate (H, H') as finite matrices of one shape and one dtype."""
+def _hankel_pair(h, h_shift) -> SnapshotPairs:
+    """(H, H') as pairs of finite matrices of one shape and one dtype, which factor H once."""
     h = _as_matrix(h, "H")
     hs = _as_matrix(h_shift, "H'")
     if h.shape != hs.shape:
         raise DimensionError(f"H and H' shapes differ: {h.shape} vs {hs.shape}")
     dtype = _working_dtype(h, hs)
-    return h.astype(dtype, copy=False), hs.astype(dtype, copy=False)
+    return SnapshotPairs(x=h.astype(dtype, copy=False), y=hs.astype(dtype, copy=False))
 
 
 def era_realize(
@@ -187,12 +184,18 @@ def era_realize(
     U sqrt(S); D_r is the zero (q, p) block, since the Markov sequence
     starts at C B and so holds no feedthrough.
     """
-    h, hs = _hankel_pair(h, h_shift)
+    return _realize(_hankel_pair(h, h_shift), order, p, q, rtol, atol)
+
+
+def _realize(hankel: SnapshotPairs, order, p, q, rtol, atol) -> EraRealization:
+    """:func:`era_realize` on the pairs (H, H'), factoring H once per pairs object."""
+    h, hs = hankel.x, hankel.y
     if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
-    svd = reduced_svd(h, rtol=rtol, atol=atol)
+    with _held_in(hankel._factors_of_x):
+        svd = reduced_svd(h, rtol=rtol, atol=atol)
     r = svd.rank if order is None else int(order)
     if r < 1 or r > svd.rank:
         raise ValueError(f"order {r} outside 1..numerical rank {svd.rank}")
@@ -256,13 +259,16 @@ def era_dmd_similarity(
     similarity transform of the reduced operator, so the spectra must
     coincide and eigenvectors must map through sqrt(S).
     """
-    h, hs = _hankel_pair(h, h_shift)
-    pair = pairs_from_arrays(h, hs)
-    op = reduced_operator(pair, rtol=rtol, atol=atol)
-    real = era_realize(h, hs, None, 1, 1, rtol=rtol, atol=atol)
+    return _similarity(_hankel_pair(h, h_shift), rtol, atol)
+
+
+def _similarity(hankel: SnapshotPairs, rtol, atol) -> EraDmdReport:
+    """:func:`era_dmd_similarity` on the pairs (H, H'), which all its steps factor once."""
+    op = reduced_operator(hankel, rtol=rtol, atol=atol)
+    real = _realize(hankel, None, 1, 1, rtol, atol)
 
     era_eigs = eig_dense(real.a_r)
-    dec = exact_dmd(pair, rtol=rtol, atol=atol, include_zero_modes=True)
+    dec = exact_dmd(hankel, rtol=rtol, atol=atol, include_zero_modes=True)
     dmd_lam = dec.eigenvalues
     perm = match_eigenvalues(era_eigs.values, dmd_lam)
     mismatch = float(np.max(np.abs(era_eigs.values - dmd_lam[perm])))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dmd import reduced_operator
-from .linalg import _norm, _unit_scale
+from .linalg import _column_mean, _norm, _unit_scale
 from .pairs import SnapshotPairs
 
 __all__ = [
@@ -35,7 +35,7 @@ _MEAN_TOL = 1e-10
 def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
     if force:
         return
-    mean, scale = _norm(pairs.x.mean(axis=1)), _norm(pairs.x)
+    mean, scale = _norm(_column_mean(pairs.x)), _norm(pairs.x)
     if scale > 0 and mean > _MEAN_TOL * scale:
         raise ValueError(
             "snapshots are not mean-subtracted (column-mean norm {:.2e} vs "

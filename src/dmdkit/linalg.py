@@ -9,13 +9,11 @@ factorization of real data runs in real arithmetic. Complex
 numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 
-:func:`reduced_svd` factors each matrix once per holder: a call on a
-matrix equal bit for bit, in dtype and shape too, to a held one reuses
-its LAPACK factors and makes its own rank cut. A CLI command holds every
-matrix it factors; outside one, a pairs object holds the latest factors
-of its x for the library calls on it. A direct :func:`reduced_svd` call,
-``era_realize`` and ``exact_dmd_sequential(z)`` factor on every call.
-The factors are read-only on every path.
+:func:`reduced_svd` factors x once per pairs object. While
+:func:`_held_in` binds a pairs object's slot, a call on a matrix equal
+bit for bit, in dtype and shape too, to the one held there reuses its
+LAPACK factors and makes its own rank cut; every other call factors
+anew. The factors are read-only on every path.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ _EIG_TOL = 1e-9
 # LAPACK geev rescales a matrix whose largest entry lies outside
 # [_GEEV_LOW, 1 / _GEEV_LOW] = [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138].
 _GEEV_LOW = float(np.sqrt(np.finfo(np.float64).tiny)) / _EPS
-_HELD = contextvars.ContextVar("_HELD", default=None)  # in a run: [(dtype, bits, factors)]
+_HELD = contextvars.ContextVar("_HELD", default=None)  # the slot reduced_svd reads and fills
 
 
 def _working_dtype(*arrays) -> type:
@@ -98,6 +96,16 @@ def _norm(a: np.ndarray) -> float:
     """
     unit = _unit_scale(a)
     return float(np.linalg.norm(a * unit)) / unit
+
+
+def _column_mean(a: np.ndarray) -> np.ndarray:
+    """numpy's mean of the columns of ``a``, retaken exactly rescaled where its sum overflows."""
+    with np.errstate(over="ignore"):
+        mean = a.mean(axis=1)
+    if not np.all(np.isfinite(mean)):  # finite data: the sum left the float64 range
+        unit = _unit_scale(a)
+        mean = (a * unit).mean(axis=1) / unit
+    return mean
 
 
 def _divide(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -166,38 +174,30 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
 
 
 @contextlib.contextmanager
-def _shared_factorizations(slot: list | None = None):
-    """Hold factors until the block exits; ``cli.main`` runs each command in one.
+def _held_in(slot: list):
+    """Let :func:`reduced_svd` reuse and leave its factors in ``slot``.
 
-    Given ``slot``, a pairs object's list of at most one entry, the block
-    starts from it and leaves the latest factors there, unless a command
-    is open: that run wins. Calls outside both factor on every call.
-    Threads sharing a slot may each factor; each leaves a valid entry.
+    ``slot`` is a pairs object's list of at most one ``(dtype, bits, factors)``
+    entry. Threads sharing a slot may each factor; each leaves a valid entry.
     """
-    if slot is not None and _HELD.get() is not None:
-        yield
-        return
-    held = list(slot or ())
-    token = _HELD.set(held)
+    token = _HELD.set(slot)
     try:
         yield
     finally:
         _HELD.reset(token)
-        if slot is not None:
-            slot[:] = held[-1:]
 
 
 def _factor(xm: np.ndarray):
-    """LAPACK's compact, read-only ``(u, s, vh)`` of ``xm``, factored once per holder."""
-    held, bits = _HELD.get(), xm.view(np.uint64)  # as bits, 0.0 and -0.0 differ
-    for dtype, key, factors in held or ():
+    """LAPACK's compact, read-only ``(u, s, vh)`` of ``xm``, reused from the bound slot."""
+    slot, bits = _HELD.get(), xm.view(np.uint64)  # as bits, 0.0 and -0.0 differ
+    for dtype, key, factors in slot or ():
         if dtype == xm.dtype and np.array_equal(key, bits):
             return factors
     factors = np.linalg.svd(xm, full_matrices=False)
     for a in factors:
         a.flags.writeable = False
-    if held is not None:
-        held.append((xm.dtype, bits.copy(), factors))
+    if slot is not None:
+        slot[:] = [(xm.dtype, bits.copy(), factors)]
     return factors
 
 

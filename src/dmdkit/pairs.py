@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _numeric_2d
+from .linalg import _as_matrix, _column_mean, _numeric_2d
 
 __all__ = [
     "SnapshotPairs",
@@ -227,9 +227,9 @@ def subtract_mean(pairs: SnapshotPairs, mode: str = "x-mean") -> tuple[SnapshotP
     that was removed (add it back to undo).
     """
     if mode == "x-mean":
-        mean = pairs.x.mean(axis=1)
+        mean = _column_mean(pairs.x)
     elif mode == "pooled-mean":
-        mean = np.concatenate([pairs.x, pairs.y], axis=1).mean(axis=1)
+        mean = _column_mean(np.concatenate([pairs.x, pairs.y], axis=1))
     else:
         raise ValueError(f"unknown mean mode {mode!r}")
     return (

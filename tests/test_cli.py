@@ -474,28 +474,48 @@ class TestLimCommand:
 
 
 def _command(kind, tmp_path):
-    """argv (without --output-dir) for one era, lim or dmd run on a fresh input."""
-    if kind == "era":
+    """argv (without --output-dir) for one run of a factoring CLI path on a fresh input."""
+    if kind.startswith("era"):
         src = str(tmp_path / "markov.csv")
         write_real_matrix(src, np.array([[0.9**k + (-0.4) ** k for k in range(9)]]))
-        return ["era", "--input", src]
+        return ["era", "--input", src, *(["--order", "1"] if kind == "era-order-1" else [])]
     if kind == "lim":
         src = str(tmp_path / "z.csv")
         main(["gen", "--kind", "random-linear", "--dim", "4", "--steps", "40",
               "--seed", "6", "--output", src])
         return ["lim", "--input", src]
-    return ["dmd", "--input", _series_csv(tmp_path), "--scaling", "amplitude-qr"]
+    flags = {
+        "dmd": ["--scaling", "amplitude-qr"],
+        "check": [],
+        "dmd-projected-mean-x": ["--algorithm", "projected", "--mean", "x"],
+        "dmd-qr": ["--algorithm", "qr"],
+        "dmd-sequential-delay-2": ["--algorithm", "sequential", "--delay", "2"],
+    }[kind]
+    return ["check" if kind == "check" else "dmd", "--input", _series_csv(tmp_path), *flags]
+
+
+# The shapes each path hands LAPACK: one SVD of its x (the Hankel matrix
+# for era), and on the QR route one more of the part of y outside range(x).
+_FACTORED = {
+    "era": [(4, 5)],
+    "era-order-1": [(4, 5)],
+    "lim": [(4, 39)],
+    "dmd": [(8, 59)],
+    "check": [(8, 59)],
+    "dmd-projected-mean-x": [(8, 59)],
+    "dmd-qr": [(8, 59), (8, 59)],
+    "dmd-sequential-delay-2": [(16, 58)],
+}
 
 
 class TestOneFactorizationPerRun:
-    @pytest.mark.parametrize("kind", ["era", "lim", "dmd"])
+    @pytest.mark.parametrize("kind", list(_FACTORED))
     def test_each_run_factors_its_one_matrix_once(self, tmp_path, lapack_svds, kind):
         argv = _command(kind, tmp_path)
         assert main(argv + ["--output-dir", str(tmp_path / "a")]) == 0
-        assert len(lapack_svds) == 1
+        assert lapack_svds == _FACTORED[kind]
         assert main(argv + ["--output-dir", str(tmp_path / "b")]) == 0
-        assert len(lapack_svds) == 2  # nothing is carried from one run to the next
-        assert lapack_svds[0] == lapack_svds[1]
+        assert lapack_svds == _FACTORED[kind] * 2  # nothing is carried from one run to the next
         for name in os.listdir(tmp_path / "a"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -640,6 +660,25 @@ class TestExitCodes:
         src.write_text("3.0,1.7976931348623157e308\n")
         assert main([command, "--input", str(src), "--output-dir", str(tmp_path / "out")]) == 6
         assert "overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["dmd", "--mean", "x"], ["dmd", "--mean", "pooled"],
+                                      ["lim"], ["lim", "--force"]], ids=" ".join)
+    def test_centring_data_whose_sum_overflows_succeeds(self, tmp_path, capsys, argv):
+        # The column sum leaves the float64 range, the mean does not; this
+        # used to exit 6 with "overflow encountered in reduce".
+        src = tmp_path / "z.csv"
+        src.write_text("1e308,1.2e308,1.1e308,1.3e308\n")
+        assert main(argv + ["--input", str(src), "--output-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_hankel_split_leaving_the_derived_rows_negative_is_named(self, tmp_path, capsys):
+        src = str(tmp_path / "imp.csv")
+        main(["gen", "--kind", "ar1", "--decay", "0.5", "--sigma2", "0", "--z0", "1",
+              "--steps", "8", "--seed", "0", "--output", src])
+        code = main(["era", "--input", src, "--mc", "100", "--output-dir", str(tmp_path / "out")])
+        assert code == 6
+        err = capsys.readouterr().err
+        assert "got m_c = 100 and m_o = -94 (m_o derived from m_c + m_o = len(params) - 1" in err
 
     def test_unknown_flag_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,5 +1,7 @@
 """Tests for the four decomposition algorithms and their shared contracts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,14 +15,18 @@ from dmdkit import (
     match_eigenvalues,
     pairs_from_arrays,
     pairs_from_sequence,
+    pairs_from_strided,
+    pairs_from_trajectories,
     projected_dmd,
     propagate,
     reconstruct,
     reduced_operator,
     spectrum,
+    subtract_mean,
 )
 from dmdkit import dmd as dmd_module
 from dmdkit.errors import DimensionError
+from dmdkit.pairs import _series
 
 
 def _explicit_operator(pairs):
@@ -30,6 +36,16 @@ def _explicit_operator(pairs):
 def _sorted_eigs(values):
     order = np.lexsort((np.round(values.imag, 9), np.round(values.real, 9)))
     return values[order]
+
+
+def _same_bytes(a, b) -> bool:
+    """Whether two results agree field by field, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return all(_same_bytes(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    return type(a) is type(b) and a == b
 
 
 def _random_pairs(rng, n=None, m=None):
@@ -247,6 +263,41 @@ class TestSequentialAlgorithm:
         assert dec.n_modes == 3
         for lam, phi in zip(dec.eigenvalues, dec.exact_modes.T):
             assert np.linalg.norm(a @ phi - lam * phi) <= 1e-12 * np.linalg.norm(phi)
+
+    @staticmethod
+    def _one_series_pairs(build, z):
+        if build == "sequence":
+            return pairs_from_sequence(z)
+        if build == "multi-run":
+            return pairs_from_trajectories([z])
+        if build == "centred":
+            return subtract_mean(pairs_from_sequence(z), "pooled-mean")[0]
+        # y[:, :-1] differs from x[:, 1:] only in the sign of its zeros.
+        z[1, 1] = z[4, 1] = z[7, 1] = 0.0
+        y = z[:, 1:].copy()
+        y[:, :-1][y[:, :-1] == 0] = -0.0
+        return pairs_from_arrays(z[:, :-1], y)
+
+    @pytest.mark.parametrize("build", ["sequence", "multi-run", "centred", "paired, signed zeros"])
+    @pytest.mark.parametrize("in_span", [False, True])
+    def test_pairs_entry_equals_the_series_entry_bit_for_bit(self, build, in_span):
+        z = np.random.default_rng(25).standard_normal((10, 7))
+        if in_span:  # the last snapshot lies in range(x): no complement vector
+            z[:, -1] = z[:, 2:-1] @ np.arange(1.0, 5.0)
+        pairs = self._one_series_pairs(build, z)
+        for kwargs in ({}, {"rtol": 1e-3, "include_zero_modes": True}):
+            got = dmd_module._sequential(pairs, **kwargs)
+            want = exact_dmd_sequential(_series(pairs), **kwargs)
+            assert _same_bytes(got, want)
+
+    def test_column_major_pairs_agree_with_the_series_entry_to_roundoff(self):
+        # Strided pairs hold column-major copies, which BLAS multiplies
+        # with another rounding than the row-major series it rebuilds.
+        z = np.random.default_rng(25).standard_normal((10, 7))
+        got = dmd_module._sequential(pairs_from_strided(z, 1))
+        want = exact_dmd_sequential(z)
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-14)
+        assert np.allclose(got.exact_modes, want.exact_modes, rtol=0, atol=1e-13)
 
     def test_exact_modes_match_plain_exact_dmd(self):
         rng = np.random.default_rng(23)

@@ -100,6 +100,17 @@ class TestHankel:
         with pytest.raises(DimensionError):
             build_hankel(seq, m_c=1, m_o=2)
 
+    @pytest.mark.parametrize("given, derived", [("m_c", "m_o"), ("m_o", "m_c")])
+    def test_a_split_leaving_the_derived_one_negative_names_it(self, given, derived):
+        seq = markov_from_blocks([np.array([[float(k)]]) for k in range(6)])
+        with pytest.raises(ValueError, match=(
+            rf"got m_c = {7 if given == 'm_c' else -3} and m_o = {-3 if given == 'm_c' else 7} "
+            rf"\({derived} derived from m_c \+ m_o = len\(params\) - 1 = 4\)$"
+        )):
+            build_hankel(seq, **{given: 7})
+        with pytest.raises(ValueError, match=r"must be nonnegative, got m_c = -1 and m_o = -2$"):
+            build_hankel(seq, m_c=-1, m_o=-2)
+
     @pytest.mark.parametrize("shapes", [[(2, 2), (2, 3)], [(2, 2), (3, 2)], [(2,), (2,)]])
     def test_blocks_of_mixed_or_flat_shapes_are_refused(self, shapes):
         blocks = tuple(np.ones(shapes[k % 2]) for k in range(3))

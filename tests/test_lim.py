@@ -52,6 +52,13 @@ class TestCenteringGuard:
         with pytest.raises(ValueError, match="subtract_mean"):
             lim_model(pairs_from_sequence(z * scale))
 
+    def test_guard_reads_the_mean_of_data_whose_sum_overflows(self):
+        z = np.array([[1e308, 0.9e308, 1.1e308, 1.0e308]])
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match="subtract_mean"):
+                lim_model(pairs_from_sequence(z))
+            lim_model(subtract_mean(pairs_from_sequence(z))[0])
+
     def test_subtract_mean_output_passes(self):
         rng = np.random.default_rng(3)
         pairs = pairs_from_sequence(rng.standard_normal((3, 18)) + 7.0)

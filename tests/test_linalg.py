@@ -30,6 +30,7 @@ from dmdkit import (
 )
 from dmdkit import linalg
 from dmdkit.errors import DimensionError, EigensolverError
+from dmdkit.era import _hankel_pair, _realize, _similarity
 from dmdkit.linalg import _norm
 
 
@@ -105,6 +106,8 @@ class TestReducedSvd:
 
 
 class TestSharedFactorizations:
+    """A run is one ``linalg._held_in`` block: the calls that read and fill one pairs slot."""
+
     def test_calls_outside_a_run_factor_every_time(self, lapack_svds):
         z = np.random.default_rng(0).standard_normal((6, 5))
         reduced_svd(z)
@@ -116,19 +119,23 @@ class TestSharedFactorizations:
 
     def test_a_run_factors_each_matrix_once_and_cuts_per_call(self, lapack_svds):
         x = np.diag([1.0, 1e-6, 1e-12])
-        with linalg._shared_factorizations():
+        slot = []
+        with linalg._held_in(slot):
             ranks = [reduced_svd(x).rank, reduced_svd(x, rtol=1e-9).rank,
                      reduced_svd(x, atol=1e-3).rank]
             assert reduced_svd(x.copy()).truncation_tol == reduced_svd(x).truncation_tol
         assert ranks == [3, 2, 1]
-        assert lapack_svds == [(3, 3)]
-        reduced_svd(x)  # the run is over: nothing is held
+        assert lapack_svds == [(3, 3)] and len(slot) == 1
+        reduced_svd(x)  # the run is over: nothing is bound
         assert lapack_svds == [(3, 3), (3, 3)]
+        with linalg._held_in(slot):  # the slot still holds x for its next run
+            reduced_svd(x)
+        assert len(lapack_svds) == 2
 
     def test_shared_factors_equal_fresh_ones_bit_for_bit(self):
         x = np.random.default_rng(1).standard_normal((7, 4)) + 1j
         fresh = reduced_svd(x)
-        with linalg._shared_factorizations():
+        with linalg._held_in([]):
             reduced_svd(x, rtol=0.5)
             shared = reduced_svd(x)
         for field in ("u", "sigma", "v", "rank", "truncation_tol"):
@@ -141,14 +148,16 @@ class TestSharedFactorizations:
         negative_zero[0, 0] = -0.0
         as_complex = x.view(np.complex128)  # the same bits, read as 4 x 3 complex
         reshaped = x.reshape(6, 4)  # the same bits in the same order
-        with linalg._shared_factorizations():
-            for a in (x, negative_zero, as_complex, reshaped, x, negative_zero):
+        slot = []
+        with linalg._held_in(slot):
+            for a in (x, x, negative_zero, negative_zero, as_complex, reshaped, reshaped):
                 reduced_svd(a)
         assert lapack_svds == [(4, 6), (4, 6), (4, 3), (6, 4)]
+        assert len(slot) == 1  # the slot holds the latest matrix only
 
     def test_a_caller_writing_into_its_matrix_gets_new_factors(self, lapack_svds):
         x = np.random.default_rng(3).standard_normal((5, 3))
-        with linalg._shared_factorizations():
+        with linalg._held_in([]):
             reduced_svd(x)
             x[2, 1] += 1.0
             got = reduced_svd(x)
@@ -158,19 +167,23 @@ class TestSharedFactorizations:
     def test_held_factors_are_read_only_inside_a_run(self):
         x = np.random.default_rng(4).standard_normal((5, 3))
         assert not reduced_svd(x).u.flags.writeable  # outside a run too: one rule
-        with linalg._shared_factorizations():
+        slot = []
+        with linalg._held_in(slot):
             svd = reduced_svd(x)
             with pytest.raises(ValueError, match="read-only"):
                 svd.u[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 svd.v[0, 0] = 1.0
+        assert not any(a.flags.writeable for a in slot[0][2])
 
     def test_a_failing_run_drops_what_it_held(self):
+        slot = []
         with pytest.raises(RankZeroError):
-            with linalg._shared_factorizations():
+            with linalg._held_in(slot):
                 reduced_svd(np.eye(2))
                 reduced_svd(np.zeros((2, 2)))
-        assert linalg._HELD.get() is None
+        assert linalg._HELD.get() is None  # the slot is unbound
+        assert len(slot) == 1 and slot[0][1].shape == (2, 2)  # and holds one entry
 
     def test_runs_in_threads_hold_their_own_factors(self, lapack_svds):
         x = np.random.default_rng(7).standard_normal((40, 12))
@@ -179,7 +192,7 @@ class TestSharedFactorizations:
 
         def run():
             try:
-                with linalg._shared_factorizations():
+                with linalg._held_in([]):
                     got = [reduced_svd(x, rtol=rtol) for rtol in (None, 1e-3, None, 1e-1)]
                 results.append(got[0].sigma.tolist() == want.sigma.tolist()
                                and np.array_equal(got[2].u, want.u)
@@ -200,7 +213,7 @@ class TestSharedFactorizations:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert results == [True] * 6
-        assert len(lapack_svds) == 1 + 6  # each thread's run factors x once
+        assert len(lapack_svds) == 1 + 6  # each thread's slot factors x once
 
     @staticmethod
     def _assert_same_report(a, b):
@@ -208,28 +221,29 @@ class TestSharedFactorizations:
             got, want = getattr(a, field.name), getattr(b, field.name)
             assert np.array_equal(got, want), field.name
 
-    def test_era_report_is_the_same_inside_and_outside_a_run(self, lapack_svds):
+    def test_era_report_is_the_same_alone_and_on_a_shared_pair(self, lapack_svds):
         a = np.diag([0.9, 0.5, -0.3])
         seq = markov_parameters(a, [[1.0], [1.0], [1.0]], [[1.0, 0.5, 0.25]], count=9)
         h, h_shift = build_hankel(seq)
-        alone = era_dmd_similarity(h, h_shift)  # its pairs share one factorization
+        alone = era_dmd_similarity(h, h_shift)  # its pair of H is factored once
+        assert lapack_svds == [h.shape]
+        era_realize(h, h_shift, None, 1, 1)  # builds its own pair of H
         assert lapack_svds == [h.shape] * 2
-        with linalg._shared_factorizations():
-            era_realize(h, h_shift, None, 1, 1)
-            shared = era_dmd_similarity(h, h_shift)
+        hankel = _hankel_pair(h, h_shift)
+        _realize(hankel, None, 1, 1, None, None)
+        shared = _similarity(hankel, None, None)
         assert lapack_svds == [h.shape] * 3
         self._assert_same_report(shared, alone)
 
-    def test_lim_report_is_the_same_inside_and_outside_a_run(self, lapack_svds):
+    def test_lim_report_is_the_same_on_shared_and_fresh_pairs(self, lapack_svds):
         z = np.random.default_rng(6).standard_normal((4, 30))
         pairs, _ = subtract_mean(pairs_from_sequence(z))
-        alone = lim_dmd_equivalence(pairs)
+        lim_model(pairs)
+        shared = lim_dmd_equivalence(pairs)
         assert len(lapack_svds) == 1
-        with linalg._shared_factorizations():  # the open run wins over the pairs
-            lim_model(pairs)
-            shared = lim_dmd_equivalence(pairs)
+        fresh = lim_dmd_equivalence(dataclasses.replace(pairs))  # a copy holds nothing
         assert len(lapack_svds) == 2
-        self._assert_same_report(shared, alone)
+        self._assert_same_report(shared, fresh)
 
 
 def _same_bytes(a, b) -> bool:
@@ -250,7 +264,7 @@ def _library_chain(pairs):
 
 
 class TestPairsShareOneFactorization:
-    """Outside a CLI command, library calls on one pairs object factor its x once."""
+    """Library calls on one pairs object factor its x once."""
 
     def test_route_calls_on_one_pairs_factor_x_once(self, lapack_svds):
         z = np.random.default_rng(8).standard_normal((30, 12))
@@ -286,17 +300,16 @@ class TestPairsShareOneFactorization:
             assert len(pairs._factors_of_x) == 1
         assert len(lapack_svds) == 1 + 3 * 2  # each write: the pairs and the rebuilt ones
 
-    def test_copies_and_open_runs_leave_the_slot_alone(self):
+    def test_copies_leave_the_slot_alone(self):
         pairs = pairs_from_sequence(np.random.default_rng(11).standard_normal((5, 9)))
         exact_dmd(pairs)
         assert len(pairs._factors_of_x) == 1
         centered, _ = subtract_mean(pairs)
         assert centered._factors_of_x == [] and dataclasses.replace(pairs)._factors_of_x == []
         assert "_factors_of_x" not in repr(pairs)
-        with linalg._shared_factorizations():  # the run wins and holds x itself
-            exact_dmd(centered)
-            assert len(linalg._HELD.get()) == 1
-        assert centered._factors_of_x == []
+        held = pairs._factors_of_x[0]
+        exact_dmd(centered)  # the copy fills its own slot
+        assert len(centered._factors_of_x) == 1 and pairs._factors_of_x == [held]
 
     def test_threads_on_one_shared_pairs_agree_bit_for_bit(self):
         z = np.random.default_rng(12).standard_normal((60, 20))

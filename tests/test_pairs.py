@@ -251,6 +251,28 @@ def test_subtract_mean_pooled_mode():
     assert np.allclose(stacked.mean(axis=1), 0.0, atol=1e-12)
 
 
+# Finite snapshots whose column sum leaves the float64 range; their mean does not.
+_FAR_SERIES = np.array([[1e308, 1.2e308, 1.1e308, 1.3e308]])
+
+
+@pytest.mark.parametrize("mode, want", [("x-mean", 1.1e308), ("pooled-mean", 1.15e308)])
+def test_subtract_mean_of_data_whose_sum_overflows(mode, want):
+    with np.errstate(over="raise"):
+        centered, mean = subtract_mean(pairs_from_sequence(_FAR_SERIES), mode)
+    assert mean == pytest.approx([want], rel=1e-15)
+    assert np.all(np.isfinite(centered.x)) and np.all(np.isfinite(centered.y))
+    assert np.array_equal(_series(centered), _FAR_SERIES - mean[:, None])
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_subtract_mean_equals_numpys_mean_where_that_is_finite(scale):
+    z = np.random.default_rng(6).standard_normal((4, 9)) * scale
+    pairs = pairs_from_sequence(z)
+    assert subtract_mean(pairs)[1].tobytes() == pairs.x.mean(axis=1).tobytes()
+    pooled = np.hstack([pairs.x, pairs.y]).mean(axis=1)
+    assert subtract_mean(pairs, "pooled-mean")[1].tobytes() == pooled.tobytes()
+
+
 def test_validation_rejects_nan():
     with pytest.raises(ValueError):
         pairs_from_arrays(np.array([[np.nan]]), np.array([[1.0]]))
