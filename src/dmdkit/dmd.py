@@ -20,7 +20,13 @@ joint basis q = [u c]) and how the exact modes are lifted, which keeps
 the four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
-through the rank-r SVD of x. Real snapshots stay real up to the small
+through the rank-r SVD of x. A tall time series (more states than
+snapshots) is first compressed by one thin QR of its snapshots,
+[x, z_m] = Q R, and every route runs on the coordinates x = R[:, :-1]
+and y = R[:, 1:], which span range([x y]); only u, b and the joint
+basis [u c] are lifted back through Q. Other pairs are their own
+coordinates, with no lift. Rank rules are taken at the data's own
+shape either way. Real snapshots stay real up to the small
 eigenproblem, and each lift of complex reduced vectors back to state
 space is a product with a real matrix (:func:`_lift`).
 """
@@ -28,14 +34,14 @@ space is a product with a real matrix (:func:`_lift`).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
 from .linalg import ReducedSvd, _divide, _held_in, _norm, _svd_threshold
 from .linalg import eig_dense, reduced_svd
-from .pairs import SnapshotPairs, pairs_from_sequence
+from .pairs import SnapshotPairs, _frame, _Frame, pairs_from_sequence
 
 __all__ = [
     "ReducedOperator",
@@ -76,6 +82,10 @@ class ReducedOperator:
     a_tilde: np.ndarray
     svd_of_x: ReducedSvd
     b: np.ndarray
+    # The pairs' coordinates, with svd_of_x and b in them, for the routes to run on.
+    _frame: _Frame | None = field(default=None, repr=False, compare=False)
+    _svd: ReducedSvd | None = field(default=None, repr=False, compare=False)
+    _b: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def reduced_operator(
@@ -84,11 +94,26 @@ def reduced_operator(
     rtol: float | None = None,
     atol: float | None = None,
 ) -> ReducedOperator:
-    """Compress A = y x^+ to the numerical column space of x, factored once per pairs object."""
-    with _held_in(pairs._factors_of_x):
-        svd = reduced_svd(pairs.x, rtol=rtol, atol=atol)
-    b = (pairs.y @ svd.v) / svd.sigma[None, :]
-    return ReducedOperator(a_tilde=svd.u.conj().T @ b, svd_of_x=svd, b=b)
+    """Compress A = y x^+ to the numerical column space of x, factored once per pairs object.
+
+    The work runs in the coordinates of the pairs (see :func:`~dmdkit.pairs._frame`),
+    and one product lifts u and b to states.
+    """
+    frame = _frame(pairs)
+    if rtol is None and atol is None:  # the default cut, at the data's own shape
+        rtol = max(frame.shape) * _EPS
+    with _held_in(frame.factors):
+        svd = reduced_svd(frame.x, rtol=rtol, atol=atol)
+    b = (frame.y @ svd.v) / svd.sigma[None, :]
+    u_states, b_states = frame.lift(svd.u, b)
+    return ReducedOperator(
+        a_tilde=svd.u.conj().T @ b,
+        svd_of_x=replace(svd, u=u_states),
+        b=b_states,
+        _frame=frame,
+        _svd=svd,
+        _b=b,
+    )
 
 
 @dataclass(frozen=True)
@@ -272,16 +297,18 @@ def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _spread(*_leads(basis, w))
 
 
-def _exact_zero_mode(op: ReducedOperator, w: np.ndarray, y: np.ndarray) -> bool:
+def _exact_zero_mode(op: ReducedOperator, w: np.ndarray) -> bool:
     """Whether the lambda=0 eigenvector of A for w is built from its image.
 
     The image of w under y v / sigma is itself a lambda=0 eigenvector
     when it is nonzero; when that image vanishes, u w already is one.
-    "Vanishes" is judged against the roundoff floor of the product.
+    "Vanishes" is judged against the roundoff floor of the product, at
+    the data's own shape.
     """
-    t = _lift(op.svd_of_x.v / op.svd_of_x.sigma[None, :], w)
+    y = op._frame.y
+    t = _lift(op._svd.v / op._svd.sigma[None, :], w)
     bw = _lift(y, t)
-    return bool(np.linalg.norm(bw) > max(y.shape) * _EPS * (_norm(y) * _norm(t)))
+    return bool(np.linalg.norm(bw) > max(op._frame.shape) * _EPS * (_norm(y) * _norm(t)))
 
 
 def _image_modes(
@@ -336,7 +363,6 @@ def _decompose(
     algorithm: str,
     op: ReducedOperator,
     *,
-    y: np.ndarray | None = None,
     complement: np.ndarray | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
@@ -345,23 +371,24 @@ def _decompose(
 
     The small matrix is a_tilde = u* A u or, for the joint-basis routes
     (QR and sequential), q* A q with q = [u c], the orthonormal
-    ``complement`` c spanning the part of y outside range(x). Zero modes
-    are dropped, and scale and order fixed, on the small vectors only.
-    How the exact modes are lifted on read is the one thing the routes
-    differ in (see :class:`DmdDecomposition`). For the exact and
-    projected routes, null-space modes are settled here by
-    :func:`_exact_zero_mode`, which needs the images ``y``, and the exact
-    route lifts its modes once, transiently, for the norms that fix
-    their order and that :func:`spectrum` reads.
+    ``complement`` c spanning the part of y outside range(x), given in
+    the pairs' coordinates like everything else here but the lifted
+    bases. Zero modes are dropped, and scale and order fixed, on the
+    small vectors only. How the exact modes are lifted on read is the
+    one thing the routes differ in (see :class:`DmdDecomposition`). For
+    the exact and projected routes, null-space modes are settled here by
+    :func:`_exact_zero_mode`, and the exact route lifts its modes once,
+    transiently, for the norms that fix their order and that
+    :func:`spectrum` reads.
     """
-    u = op.svd_of_x.u
+    u = op._svd.u
     if complement is None:
-        basis, matrix = u, op.a_tilde
+        basis, matrix = op.svd_of_x.u, op.a_tilde
     else:
         # q = [u c] and A = b u*, so q* A q = [a_tilde; c* b] [I, u* c].
-        basis = np.concatenate([u, complement], axis=1)
+        basis = np.concatenate([op.svd_of_x.u, *op._frame.lift(complement)], axis=1)
         uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
-        matrix = np.concatenate([op.a_tilde, complement.conj().T @ op.b]) @ uq
+        matrix = np.concatenate([op.a_tilde, complement.conj().T @ op._b]) @ uq
     eig = eig_dense(matrix)
     cut = _zero_tol(matrix, zero_tol)
     kept = np.flatnonzero(include_zero_modes | (np.abs(eig.values) > cut))
@@ -375,9 +402,9 @@ def _decompose(
     if not joint:
         divisors = lam.copy()
         for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
-            divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j], y) else 0.0
+            divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j]) else 0.0
         if algorithm == "exact":  # the norms of exact_modes, bit for bit, so spectrum need not lift
-            modes, source, follower = _image_modes(op.b, u, vectors, divisors)
+            modes, source, follower = _image_modes(op.b, basis, vectors, divisors)
             if modes.shape[1] == 1:  # numpy sums one column pairwise, but a wider array row by row
                 modes, source = _spread(modes, source, follower), np.arange(len(lam))
             norms = np.linalg.norm(modes, axis=0)[source]
@@ -418,7 +445,7 @@ def exact_dmd(
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     return _decompose(
-        "exact", op, y=pairs.y, zero_tol=zero_tol,
+        "exact", op, zero_tol=zero_tol,
         include_zero_modes=include_zero_modes,
     )
 
@@ -440,7 +467,7 @@ def projected_dmd(
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     return _decompose(
-        "projected", op, y=pairs.y, zero_tol=zero_tol,
+        "projected", op, zero_tol=zero_tol,
         include_zero_modes=include_zero_modes,
     )
 
@@ -448,18 +475,18 @@ def projected_dmd(
 def _outside_range(
     op: ReducedOperator, a: np.ndarray, rtol: float | None, atol: float | None
 ) -> tuple[np.ndarray, float]:
-    """The part of the columns ``a`` outside range(x), and its cut.
+    """The part of the columns ``a`` outside range(x), and its cut, in the pairs' coordinates.
 
     u is projected out twice, so that the residual is orthogonal to u to
-    roundoff. The cut is the rank rule of [x a], taken at
-    hypot(sigma_1(x), |a|_F), an upper bound of sigma_1([x a]); a
-    direction of the residual counts when it stands above the cut.
+    roundoff. The cut is the rank rule of [x a] at the data's own shape,
+    taken at hypot(sigma_1(x), |a|_F), an upper bound of sigma_1([x a]);
+    a direction of the residual counts when it stands above the cut.
     """
-    u = op.svd_of_x.u
+    u = op._svd.u
     rest = a - u @ (u.conj().T @ a)
     rest -= u @ (u.conj().T @ rest)
-    top = np.hypot(op.svd_of_x.sigma[0], _norm(a))
-    shape = (u.shape[0], op.svd_of_x.v.shape[0] + a.shape[1])
+    top = np.hypot(op._svd.sigma[0], _norm(a))
+    shape = (op._frame.shape[0], op._svd.v.shape[0] + a.shape[1])
     return rest, _svd_threshold(shape, [top], rtol, atol)
 
 
@@ -481,7 +508,7 @@ def exact_dmd_qr(
     rule of [x y]; it is empty when y lies in range(x), and then q = u.
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    rest, cut = _outside_range(op, pairs.y, rtol, atol)
+    rest, cut = _outside_range(op, op._frame.y, rtol, atol)
     try:
         complement = reduced_svd(rest, atol=cut).u
     except RankZeroError:
@@ -517,7 +544,7 @@ def _sequential(pairs: SnapshotPairs, rtol=None, atol=None, zero_tol=None,
                 include_zero_modes=False) -> DmdDecomposition:
     """:func:`exact_dmd_sequential` on ``pairs`` that form one series, which it factors."""
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    rest, cut = _outside_range(op, pairs.y[:, -1:], rtol, atol)
+    rest, cut = _outside_range(op, op._frame.y[:, -1:], rtol, atol)
     norm = _norm(rest)
     return _decompose(
         "sequential", op, complement=rest / norm if norm > cut else None,
@@ -551,13 +578,12 @@ def linear_consistency(
     ``_CONSISTENCY_TOL`` (1e-10), the value reported as ``tol``.
     """
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    v = op.svd_of_x.v
-    y = pairs.y
+    v, y = op._svd.v, op._frame.y
     if not y.any():
         return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op.svd_of_x.rank)
     y_norm = _norm(y)
     defect = _norm(y - (y @ v) @ v.conj().T) / y_norm
-    residual = _norm(op.b @ (op.svd_of_x.u.conj().T @ pairs.x) - y) / y_norm
+    residual = _norm(op._b @ (op._svd.u.conj().T @ op._frame.x) - y) / y_norm
     return ConsistencyReport(
         consistent=defect <= _CONSISTENCY_TOL,
         defect=defect,

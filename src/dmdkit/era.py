@@ -19,7 +19,7 @@ import numpy as np
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
 from .linalg import _as_matrix, _held_in, _max_residual, _working_dtype, eig_dense, reduced_svd
-from .pairs import SnapshotPairs, pairs_from_strided
+from .pairs import SnapshotPairs, _frame, pairs_from_strided
 
 __all__ = [
     "MarkovSequence",
@@ -158,13 +158,18 @@ class EraRealization:
 
 
 def _hankel_pair(h, h_shift) -> SnapshotPairs:
-    """(H, H') as pairs of finite matrices of one shape and one dtype, which factor H once."""
+    """(H, H') as pairs of finite matrices of one shape and one dtype, which factor H once.
+
+    A Hankel pair may form a tall series; it is held in its own coordinates all the same.
+    """
     h = _as_matrix(h, "H")
     hs = _as_matrix(h_shift, "H'")
     if h.shape != hs.shape:
         raise DimensionError(f"H and H' shapes differ: {h.shape} vs {hs.shape}")
     dtype = _working_dtype(h, hs)
-    return SnapshotPairs(x=h.astype(dtype, copy=False), y=hs.astype(dtype, copy=False))
+    pairs = SnapshotPairs(x=h.astype(dtype, copy=False), y=hs.astype(dtype, copy=False))
+    _frame(pairs, compress=False)  # the realization factors H itself, so every step does
+    return pairs
 
 
 def era_realize(
@@ -194,7 +199,7 @@ def _realize(hankel: SnapshotPairs, order, p, q, rtol, atol) -> EraRealization:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
-    with _held_in(hankel._factors_of_x):
+    with _held_in(_frame(hankel).factors):
         svd = reduced_svd(h, rtol=rtol, atol=atol)
     r = svd.rank if order is None else int(order)
     if r < 1 or r > svd.rank:

@@ -35,12 +35,16 @@ _MEAN_TOL = 1e-10
 def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
     if force:
         return
-    mean, scale = _norm(_column_mean(pairs.x)), _norm(pairs.x)
+    unit = _unit_scale(pairs.x)
+    x = pairs.x * unit  # exact, and its norms stay in range where those of x overflow
+    mean, scale = float(np.linalg.norm(_column_mean(x))), float(np.linalg.norm(x))
     if scale > 0 and mean > _MEAN_TOL * scale:
         raise ValueError(
             "snapshots are not mean-subtracted (column-mean norm {:.2e} vs "
             "data norm {:.2e}); center them with subtract_mean, or pass "
-            "force=True for data that is zero-mean by construction".format(mean, scale)
+            "force=True for data that is zero-mean by construction".format(
+                mean / unit, scale / unit
+            )
         )
 
 
@@ -79,14 +83,13 @@ def lim_model(
     """
     _require_centered(pairs, force)
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    svd = op.svd_of_x
-    u = svd.u
-    x_hat = u.conj().T @ pairs.x
-    y_hat = u.conj().T @ pairs.y
+    svd = op._svd  # in the pairs' coordinates, as are x and y below
+    x_hat = svd.u.conj().T @ op._frame.x
+    y_hat = svd.u.conj().T @ op._frame.y
     unit = _unit_scale(svd.sigma)  # exact rescale: squared entries stay in range
     green = ((unit * y_hat) @ (unit * x_hat).conj().T) / (unit * svd.sigma[None, :]) ** 2
     return LimModel(
-        eofs=u,
+        eofs=op.svd_of_x.u,
         x_hat=x_hat,
         y_hat=y_hat,
         green=green,

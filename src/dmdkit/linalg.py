@@ -10,10 +10,13 @@ numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 
 :func:`reduced_svd` factors x once per pairs object. While
-:func:`_held_in` binds a pairs object's slot, a call on a matrix equal
-bit for bit, in dtype and shape too, to the one held there reuses its
-LAPACK factors and makes its own rank cut; every other call factors
-anew. The factors are read-only on every path.
+:func:`_held_in` binds a slot, a call on a matrix equal bit for bit,
+in dtype and shape too, to the one held there reuses its LAPACK
+factors and makes its own rank cut; every other call factors anew.
+:func:`_qr` is the thin QR that compresses a tall time series to the
+coordinates of its snapshots (see :func:`dmdkit.pairs._frame`), whose
+x is then the matrix :func:`reduced_svd` factors. All factors are
+read-only on every path.
 """
 
 from __future__ import annotations
@@ -108,6 +111,11 @@ def _column_mean(a: np.ndarray) -> np.ndarray:
     return mean
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    """A view of ``a``'s own bits as unsigned integers, in any layout: 0.0 and -0.0 differ."""
+    return a.view(f"u{a.itemsize}" if a.itemsize <= 8 else (np.uint64, a.itemsize // 8))
+
+
 def _divide(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """``a / lam`` also for subnormal lam, where numpy's complex quotient overflows."""
     if np.all(np.abs(lam) >= np.finfo(np.float64).tiny):
@@ -189,7 +197,7 @@ def _held_in(slot: list):
 
 def _factor(xm: np.ndarray):
     """LAPACK's compact, read-only ``(u, s, vh)`` of ``xm``, reused from the bound slot."""
-    slot, bits = _HELD.get(), xm.view(np.uint64)  # as bits, 0.0 and -0.0 differ
+    slot, bits = _HELD.get(), _bits(xm)
     for dtype, key, factors in slot or ():
         if dtype == xm.dtype and np.array_equal(key, bits):
             return factors
@@ -199,6 +207,20 @@ def _factor(xm: np.ndarray):
     if slot is not None:
         slot[:] = [(xm.dtype, bits.copy(), factors)]
     return factors
+
+
+def _qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin Householder QR ``z = q @ r`` of a finite tall matrix, which it overwrites.
+
+    Both factors are read-only. Raises FloatingPointError where the norm
+    of a column of z leaves the float64 range.
+    """
+    q, r = scipy.linalg.qr(z, overwrite_a=True, mode="economic", check_finite=False)
+    if not np.all(np.isfinite(r)):
+        raise FloatingPointError("overflow: the norm of a snapshot exceeds the float64 range")
+    for a in (q, r):
+        a.flags.writeable = False
+    return q, r
 
 
 def reduced_svd(
@@ -223,6 +245,10 @@ def reduced_svd(
     if n == 0 or m == 0:
         raise DimensionError("x must have at least one row and one column")
     u, s, vh = _factor(xm)
+    if not np.isfinite(s[0]):  # x is finite, so its norm left the float64 range
+        raise FloatingPointError(
+            "overflow: the largest singular value of x exceeds the float64 range"
+        )
     cut = _svd_threshold((n, m), s, rtol, atol)
     r = int(np.sum(s > cut))
     if r == 0:
@@ -250,6 +276,17 @@ def _max_residual(m: np.ndarray, vectors: np.ndarray, values: np.ndarray) -> flo
     return float(resid) / (float(np.linalg.norm(mu)) or 1.0)
 
 
+def _worst_pair(m: np.ndarray, values, left, right) -> tuple[str, float] | None:
+    """The first side whose pairs, at unit norm, miss the residual bound, and its residual."""
+    # A left pair (lam, z) is the right pair (conj(lam), z) of m*.
+    sides = (("right", m, right, values), ("left", m.conj().T, left, np.conj(values)))
+    for side, matrix, vectors, lam in sides:
+        resid = _max_residual(matrix, vectors / np.linalg.norm(vectors, axis=0), lam)
+        if resid > _EIG_TOL:
+            return side, resid
+    return None
+
+
 def eig_dense(m) -> EigenPairs:
     """Dense eigendecomposition with a verified residual bound.
 
@@ -259,9 +296,10 @@ def eig_dense(m) -> EigenPairs:
     raises :class:`EigensolverError` rather than returning silently bad
     vectors. A matrix whose largest entry lies outside LAPACK geev's
     own scaling window is eigendecomposed after an exact power-of-two
-    rescale. A real matrix is decomposed in real arithmetic; its complex
-    eigenvalues then come in exactly conjugate pairs with exactly
-    conjugate vectors.
+    rescale, and eigenvectors that fail the check are computed once
+    more under a fixed orthogonal similarity. A real matrix is
+    decomposed in real arithmetic; its complex eigenvalues then come in
+    exactly conjugate pairs with exactly conjugate vectors.
     """
     mm = _as_matrix(m, "m")
     if mm.shape[0] != mm.shape[1]:
@@ -272,14 +310,31 @@ def eig_dense(m) -> EigenPairs:
     # Some LAPACK builds lose the factor of geev's own rescale; do it here.
     unit = 1.0 if _GEEV_LOW <= np.max(np.abs(mm)) <= 1.0 / _GEEV_LOW else _unit_scale(mm)
     values, vl, vr = scipy.linalg.eig(mm * unit, left=True, right=True)
+    values = values / unit
+    failed = _worst_pair(mm, values, vl, vr)
+    if failed is not None:
+        # geev balances first, and may scale a row or column of pure
+        # roundoff up by dozens of powers of two, and the error of the
+        # eigenvectors, though not of the eigenvalues, with it. The vectors
+        # are taken again under a reflector that mixes every coordinate,
+        # which leaves the balancing nothing to scale, each paired with
+        # the nearest of the first eigenvalues.
+        # Imported here: scipy.optimize costs a large share of dmdkit's import time.
+        from scipy.optimize import linear_sum_assignment
+
+        ramp = np.arange(1.0, len(values) + 1.0)
+        mix = np.eye(len(ramp)) - np.outer(ramp, 2.0 * ramp / (ramp @ ramp))
+        mixed, vl, vr = scipy.linalg.eig(mix @ (mm * unit) @ mix, left=True, right=True)
+        cost = np.abs(values[:, None] - mixed[None, :] / unit)
+        near = linear_sum_assignment(cost)[1]
+        vl, vr = mix @ vl[:, near], mix @ vr[:, near]
+        failed = _worst_pair(mm, values, vl, vr)
+    if failed is not None:
+        side, resid = failed
+        raise EigensolverError(
+            f"{side} eigenpair residual {resid:.3e} norm(m) exceeds {_EIG_TOL:g} norm(m)"
+        )
     # A real matrix with a real spectrum gets real vectors from LAPACK.
-    values, vl, vr = (a.astype(np.complex128, copy=False) for a in (values / unit, vl, vr))
+    values, vl, vr = (a.astype(np.complex128, copy=False) for a in (values, vl, vr))
     vr, vl = (v / np.linalg.norm(v, axis=0, keepdims=True) for v in (vr, vl))
-    # A left pair (lam, z) is the right pair (conj(lam), z) of m*.
-    for side, args in (("right", (mm, vr, values)), ("left", (mm.conj().T, vl, values.conj()))):
-        resid = _max_residual(*args)
-        if resid > _EIG_TOL:
-            raise EigensolverError(
-                f"{side} eigenpair residual {resid:.3e} norm(m) exceeds {_EIG_TOL:g} norm(m)"
-            )
     return EigenPairs(values=values, vectors=vr, left_vectors=vl)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _column_mean, _numeric_2d
+from .linalg import _as_matrix, _bits, _column_mean, _numeric_2d, _qr, _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -84,8 +84,8 @@ class SnapshotPairs:
     x: np.ndarray
     y: np.ndarray
     dt: float | None = None
-    # The latest factors of x, shared by the library calls on these pairs.
-    _factors_of_x: list = field(default_factory=list, init=False, compare=False, repr=False)
+    # The latest coordinates of x and y (see _frame), shared by the library calls on these pairs.
+    _coordinates: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("x", "y"):  # an ndarray, views included, is kept as it is
@@ -204,6 +204,72 @@ def _series(pairs: SnapshotPairs) -> np.ndarray:
     """The time series z with x = z[:, :-1] and y = z[:, 1:] (see :func:`_require_series`)."""
     _require_series(pairs)
     return np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Pairs in the coordinates of an orthonormal basis q: x = q @ self.x, y = q @ self.y.
+
+    ``q`` is None where x and y are their own coordinates. ``shape`` is
+    the data's own (n, m), at which rank rules are taken, ``factors``
+    the slot that holds the SVD of ``self.x`` (see :func:`~dmdkit.linalg._held_in`),
+    and ``lifted`` the slot that holds the latest lift.
+    """
+
+    q: np.ndarray | None
+    x: np.ndarray
+    y: np.ndarray
+    shape: tuple[int, int]
+    factors: list = field(default_factory=list)
+    lifted: list = field(default_factory=list)
+
+    def lift(self, *parts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``q @ a`` for each ``a`` of ``parts``, by one read-only product; the parts if q is None.
+
+        The product is held, keyed on the dtype and bits of the parts, so
+        a request repeated on these coordinates lifts nothing.
+        """
+        if self.q is None:
+            return parts
+        small = np.concatenate(parts, axis=1)
+        bits = _bits(small)
+        for dtype, key, lifted in self.lifted:
+            if dtype == small.dtype and np.array_equal(key, bits):
+                break
+        else:
+            lifted = self.q @ small
+            lifted.flags.writeable = False
+            self.lifted[:] = [(small.dtype, bits, lifted)]
+        return tuple(np.split(lifted, np.cumsum([a.shape[1] for a in parts[:-1]]), axis=1))
+
+
+def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
+    """The coordinates every request on ``pairs`` runs in, held until x or y is written.
+
+    A tall series (n > m + 1 states, and x[:, 1:] == y[:, :-1]) lies in
+    the span of its m + 1 snapshots z = [x, y[:, -1]]. It is factored
+    once as a thin QR, z = q r, and runs on r[:, :-1] and r[:, 1:]. Any
+    other pairs, and pairs first held with ``compress=False``, are their
+    own coordinates. The slot holds one entry, keyed on the dtypes and
+    bits of x and y; threads sharing the pairs may each build one, and
+    each leaves a valid entry.
+    """
+    key = [(a.dtype, _bits(a)) for a in (pairs.x, pairs.y)]
+    for held, frame in pairs._coordinates:
+        if all(d == e and np.array_equal(b, c) for (d, b), (e, c) in zip(key, held)):
+            return frame
+    n, m = pairs.x.shape
+    if compress and n > m + 1 and np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
+        z = np.empty((n, m + 1), _working_dtype(pairs.x, pairs.y), order="F")  # LAPACK's layout
+        z[:, :-1], z[:, -1] = pairs.x, pairs.y[:, -1]
+        if not np.all(np.isfinite(z)):
+            raise ValueError("the series contains non-finite entries")
+        q, r = _qr(z)
+        frame = _Frame(q, r[:, :-1], r[:, 1:], (n, m))
+    else:
+        frame = _Frame(None, pairs.x, pairs.y, (n, m))
+    pairs._coordinates[:] = [([(d, b.copy()) for d, b in key], frame)]
+    return frame
 
 
 def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:

@@ -21,7 +21,7 @@ import numpy as np
 from .dmd import DmdDecomposition
 from .errors import DimensionError
 from .linalg import _divide, _norm, _unit_scale
-from .pairs import SnapshotPairs, _require_series
+from .pairs import SnapshotPairs, _frame, _require_series
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
 
@@ -113,7 +113,8 @@ def scale_amplitudes(
         residual = _norm(phi @ (lam * d) - target)
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
-        # so only m-by-k factors and y* y ever appear. y, t_mat and the
+        # so only m-by-k factors and y* y ever appear, y in the pairs'
+        # coordinates, which keep y* y and every norm. y, t_mat and the
         # target each carry their own power of two; the solution is scaled
         # back once, by ldexp, as their quotient may lie outside float64.
         svd = dec.svd_of_x
@@ -122,9 +123,11 @@ def scale_amplitudes(
                 "pairs do not match the decomposition (expected y of shape "
                 f"{(n, svd.v.shape[0])}, got {pairs.y.shape})"
             )
+        y = _frame(pairs).y
+        target = y[:, 0]
         t_mat = (svd.v / svd.sigma[None, :]) @ dec.reduced_vectors
-        y_unit, t_unit, unit = _unit_scale(pairs.y), _unit_scale(t_mat), _unit_scale(target)
-        y, t_mat, target = pairs.y * y_unit, t_mat * t_unit, target * unit
+        y_unit, t_unit, unit = _unit_scale(y), _unit_scale(t_mat), _unit_scale(target)
+        y, t_mat, target = y * y_unit, t_mat * t_unit, target * unit
         gram = t_mat.conj().T @ (y.conj().T @ y) @ t_mat
         d = np.linalg.solve(gram, t_mat.conj().T @ (y.conj().T @ target))
         residual = _norm(y @ (t_mat @ d) - target) / unit

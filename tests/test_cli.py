@@ -331,6 +331,27 @@ class TestPairingReadFromData:
         for want, got in zip(_eigenvalue_columns(seq), _eigenvalue_columns(strided)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--algorithm", "projected", "--scaling", "amplitude-qr"],
+        ["--algorithm", "qr", "--include-zero-modes"], ["--algorithm", "sequential"],
+        ["--scaling", "amplitude-gram"],
+    ], ids=" ".join)
+    def test_stride_one_pairs_of_a_tall_series_write_the_sequential_bytes(self, tmp_path, flags):
+        # A tall series is decomposed in the coordinates of one QR of its
+        # snapshots, so the layout of the strided pairs reaches no product.
+        src = str(tmp_path / "tall.csv")
+        main(["gen", "--kind", "random-linear", "--dim", "40", "--steps", "12", "--output", src])
+        seq, strided = tmp_path / "seq", tmp_path / "strided"
+        assert main(["dmd", "--input", src, "--output-dir", str(seq), *flags]) == 0
+        assert main(["dmd", "--input", src, "--output-dir", str(strided), *flags,
+                     "--pairing", "strided", "--stride", "1"]) == 0
+        for name in ("eigenvalues.csv", "modes.csv"):
+            assert (seq / name).read_bytes() == (strided / name).read_bytes(), name
+        report = [(seq / "report.txt").read_text().splitlines(),
+                  (strided / "report.txt").read_text().splitlines()]
+        assert [ln for ln in report[0] if not ln.startswith("pairing:")] == [
+            ln for ln in report[1] if not ln.startswith("pairing:")]
+
     def test_paired_shifted_arrays_take_a_delay(self, tmp_path):
         src = _series_csv(tmp_path)
         z = read_matrix(src)
@@ -484,6 +505,12 @@ def _command(kind, tmp_path):
         main(["gen", "--kind", "random-linear", "--dim", "4", "--steps", "40",
               "--seed", "6", "--output", src])
         return ["lim", "--input", src]
+    if kind.endswith("tall"):
+        src = str(tmp_path / "tall.csv")
+        main(["gen", "--kind", "random-linear", "--dim", "40", "--steps", "12", "--output", src])
+        flags = {"dmd-tall": ["--scaling", "amplitude-gram"],
+                 "dmd-sequential-tall": ["--algorithm", "sequential"]}.get(kind, [])
+        return [kind.split("-")[0], "--input", src, *flags]
     flags = {
         "dmd": ["--scaling", "amplitude-qr"],
         "check": [],
@@ -496,6 +523,8 @@ def _command(kind, tmp_path):
 
 # The shapes each path hands LAPACK: one SVD of its x (the Hankel matrix
 # for era), and on the QR route one more of the part of y outside range(x).
+# A tall series (40 states, 12 snapshots) is first factored by one QR, and
+# its x is then 12 x 11 coordinates.
 _FACTORED = {
     "era": [(4, 5)],
     "era-order-1": [(4, 5)],
@@ -505,26 +534,35 @@ _FACTORED = {
     "dmd-projected-mean-x": [(8, 59)],
     "dmd-qr": [(8, 59), (8, 59)],
     "dmd-sequential-delay-2": [(16, 58)],
+    "dmd-tall": [(12, 11)],
+    "dmd-sequential-tall": [(12, 11)],
+    "check-tall": [(12, 11)],
+    "lim-tall": [(12, 11)],
 }
 
 
 class TestOneFactorizationPerRun:
     @pytest.mark.parametrize("kind", list(_FACTORED))
-    def test_each_run_factors_its_one_matrix_once(self, tmp_path, lapack_svds, kind):
+    def test_each_run_factors_its_one_matrix_once(self, tmp_path, lapack_svds, lapack_qrs, kind):
         argv = _command(kind, tmp_path)
+        qrs = [(40, 12)] if kind.endswith("tall") else []
         assert main(argv + ["--output-dir", str(tmp_path / "a")]) == 0
-        assert lapack_svds == _FACTORED[kind]
+        assert lapack_svds == _FACTORED[kind] and lapack_qrs == qrs
         assert main(argv + ["--output-dir", str(tmp_path / "b")]) == 0
         assert lapack_svds == _FACTORED[kind] * 2  # nothing is carried from one run to the next
+        assert lapack_qrs == qrs * 2
         for name in os.listdir(tmp_path / "a"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_qr_route_factors_x_and_the_part_of_y_outside_its_range(self, tmp_path, lapack_svds):
+    def test_qr_route_factors_x_and_the_part_of_y_outside_its_range(
+        self, tmp_path, lapack_svds, lapack_qrs
+    ):
         src = str(tmp_path / "z.csv")
         main(["gen", "--kind", "random-linear", "--dim", "40", "--steps", "12", "--output", src])
         assert main(["dmd", "--input", src, "--algorithm", "qr",
                      "--output-dir", str(tmp_path / "out")]) == 0
-        assert lapack_svds == [(40, 11), (40, 11)]
+        assert lapack_qrs == [(40, 12)]  # the tall series, whose coordinates x and y then are
+        assert lapack_svds == [(12, 11), (12, 11)]
 
     def test_a_failed_run_holds_nothing_afterwards(self, tmp_path):
         src = tmp_path / "zero.csv"
@@ -670,6 +708,30 @@ class TestExitCodes:
         src.write_text("1e308,1.2e308,1.1e308,1.3e308\n")
         assert main(argv + ["--input", str(src), "--output-dir", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["dmd"], 1), (["check"], 1), (["lim", "--mean", "none", "--force"], 1),
+        (["dmd"], 6), (["check"], 6), (["lim", "--mean", "none", "--force"], 6),
+        (["dmd", "--algorithm", "qr"], 6), (["dmd", "--algorithm", "sequential"], 6),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else f"{v} rows")
+    def test_data_whose_norm_overflows_is_a_domain_refusal(self, tmp_path, capsys, argv, rows):
+        # Finite snapshots whose largest singular value, and on the tall
+        # series (6 states, 4 snapshots) a snapshot's norm, exceed the
+        # float64 range; this used to exit 5, "matrix has numerical rank
+        # zero at threshold inf".
+        src = tmp_path / "far.csv"
+        src.write_text("1e308,1.2e308,1.1e308,1.3e308\n" * rows)
+        assert main(argv + ["--input", str(src), "--output-dir", str(tmp_path / "out")]) == 6
+        err = capsys.readouterr().err
+        assert "error[domain]: overflow" in err and "non-finite" not in err
+
+    def test_uncentred_data_whose_norm_overflows_is_refused_by_lim(self, tmp_path, capsys):
+        src = tmp_path / "far.csv"
+        src.write_text("1e308,1.2e308,1.1e308,1.3e308\n")
+        code = main(["lim", "--mean", "none", "--input", str(src),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 6
+        assert "not mean-subtracted" in capsys.readouterr().err
 
     def test_a_hankel_split_leaving_the_derived_rows_negative_is_named(self, tmp_path, capsys):
         src = str(tmp_path / "imp.csv")

@@ -530,3 +530,19 @@ def test_reduced_operator_contract():
     want = u.conj().T @ m @ u
     assert np.linalg.norm(op.a_tilde - want) < 1e-10
     assert np.linalg.norm(op.b - m @ u) < 1e-10
+
+
+def test_a_compressed_series_cuts_at_the_shape_of_the_data():
+    # In the QR coordinates x is 3 x 2, but the rank rules read 200 x 2:
+    # 1e-14 lies above 3 eps and 4 eps, below 200 eps. So the second
+    # direction of x, and the part of z_2 and of y outside range(x), are cut.
+    basis, _ = np.linalg.qr(np.random.default_rng(40).standard_normal((200, 3)))
+    z = basis @ np.array([[1.0, 1.0, 1.0], [0.0, 1e-14, 0.0], [0.0, 0.0, 1e-14]])
+    pairs = pairs_from_sequence(z)
+    op = reduced_operator(pairs)
+    assert pairs._coordinates[0][1].q is not None  # the compressed path ran
+    assert op.svd_of_x.rank == 1
+    assert op.svd_of_x.truncation_tol == pytest.approx(200 * np.finfo(float).eps * np.sqrt(2.0))
+    assert linear_consistency(pairs).rank == 1
+    assert exact_dmd_qr(pairs, include_zero_modes=True).n_modes == 1
+    assert exact_dmd_sequential(z, include_zero_modes=True).n_modes == 1

@@ -59,6 +59,12 @@ class TestCenteringGuard:
                 lim_model(pairs_from_sequence(z))
             lim_model(subtract_mean(pairs_from_sequence(z))[0])
 
+    def test_guard_reads_data_whose_norm_overflows(self):
+        z = np.array([[1e308, 1.2e308, 1.1e308, 1.3e308]])  # norm(x) is beyond float64
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match="subtract_mean"):
+                lim_model(pairs_from_sequence(z))
+
     def test_subtract_mean_output_passes(self):
         rng = np.random.default_rng(3)
         pairs = pairs_from_sequence(rng.standard_normal((3, 18)) + 7.0)

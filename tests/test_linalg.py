@@ -29,6 +29,7 @@ from dmdkit import (
     subtract_mean,
 )
 from dmdkit import linalg
+from dmdkit.dmd import _sequential, reduced_operator
 from dmdkit.errors import DimensionError, EigensolverError
 from dmdkit.era import _hankel_pair, _realize, _similarity
 from dmdkit.linalg import _norm
@@ -99,6 +100,10 @@ class TestReducedSvd:
         with pytest.raises(ValueError):
             reduced_svd(np.array([[np.nan, 1.0]]))
 
+    def test_a_largest_singular_value_beyond_float64_is_an_overflow(self):
+        with pytest.raises(FloatingPointError, match="overflow: the largest singular value"):
+            reduced_svd(np.array([[1e308, 1.2e308, 1.1e308]]))
+
     def test_result_type(self):
         svd = reduced_svd(np.eye(3))
         assert isinstance(svd, ReducedSvd)
@@ -108,14 +113,15 @@ class TestReducedSvd:
 class TestSharedFactorizations:
     """A run is one ``linalg._held_in`` block: the calls that read and fill one pairs slot."""
 
-    def test_calls_outside_a_run_factor_every_time(self, lapack_svds):
+    def test_calls_outside_a_run_factor_every_time(self, lapack_svds, lapack_qrs):
         z = np.random.default_rng(0).standard_normal((6, 5))
         reduced_svd(z)
         reduced_svd(z)
         pairs = pairs_from_sequence(z)
         linear_consistency(pairs)
-        exact_dmd(pairs)  # calls on one pairs object share the factors of its x
-        assert lapack_svds == [(6, 5), (6, 5), (6, 4)]
+        exact_dmd(pairs)  # calls on one pairs object share one QR of the series, and its x's SVD
+        assert lapack_qrs == [(6, 5)]
+        assert lapack_svds == [(6, 5), (6, 5), (5, 4)]
 
     def test_a_run_factors_each_matrix_once_and_cuts_per_call(self, lapack_svds):
         x = np.diag([1.0, 1e-6, 1e-12])
@@ -266,25 +272,50 @@ def _library_chain(pairs):
 class TestPairsShareOneFactorization:
     """Library calls on one pairs object factor its x once."""
 
-    def test_route_calls_on_one_pairs_factor_x_once(self, lapack_svds):
+    def test_route_calls_on_one_pairs_factor_x_once(self, lapack_svds, lapack_qrs):
         z = np.random.default_rng(8).standard_normal((30, 12))
         pairs = pairs_from_sequence(z)
         got = _library_chain(lambda: pairs)
-        assert lapack_svds == [(30, 11), (30, 11)]  # x, then the QR complement
+        assert lapack_qrs == [(30, 12)]  # the tall series, once
+        assert lapack_svds == [(12, 11), (12, 11)]  # its x, then the QR complement, in coordinates
         want = _library_chain(lambda: pairs_from_sequence(z))  # a fresh pairs object per call
         assert len(lapack_svds) == 2 + 5
+        assert len(lapack_qrs) == 1 + 5  # the gram amplitudes' fresh pairs too
         for shared, fresh in zip(got, want):
             assert _same_bytes(shared, fresh)
 
-    def test_fresh_pairs_from_the_same_series_factor_again(self, lapack_svds):
+    def test_lifts_on_shared_coordinates_equal_fresh_ones_bit_for_bit(self):
+        # Different cuts, and the QR and sequential complements, lift different
+        # columns by the one held product slot of the pairs' coordinates.
+        rng = np.random.default_rng(14)
+        z = rng.standard_normal((40, 9)) * np.logspace(0, -8, 9)
+        pairs = pairs_from_sequence(z)
+
+        def chain(pairs):
+            return [reduced_operator(pairs(), rtol=1e-4), exact_dmd_qr(pairs()),
+                    _sequential(pairs()), exact_dmd(pairs()), reduced_operator(pairs(), rtol=1e-4)]
+
+        got, want = chain(lambda: pairs), chain(lambda: pairs_from_sequence(z))
+        assert got[0].svd_of_x.rank < got[3].svd_of_x.rank
+        for op in (0, 4):  # the public fields of the operators
+            for name in ("a_tilde", "b", "svd_of_x"):
+                assert _same_bytes(getattr(got[op], name), getattr(want[op], name)), name
+        for dec in (1, 2, 3):
+            assert _same_bytes(got[dec], want[dec])
+            assert _same_bytes(got[dec].modes, want[dec].modes)
+
+    def test_fresh_pairs_from_the_same_series_factor_again(self, lapack_svds, lapack_qrs):
         z = np.random.default_rng(9).standard_normal((8, 6))
         for _ in range(2):
             exact_dmd(pairs_from_sequence(z))
             projected_dmd(pairs_from_sequence(z))
-        assert lapack_svds == [(8, 5)] * 4
+        assert lapack_qrs == [(8, 6)] * 4
+        assert lapack_svds == [(6, 5)] * 4
 
     @pytest.mark.parametrize("layout", ["view of the series", "own contiguous x"])
-    def test_writing_into_pairs_x_gives_new_factors_and_holds_one(self, lapack_svds, layout):
+    def test_writing_into_pairs_x_gives_new_factors_and_holds_one(
+        self, lapack_svds, lapack_qrs, layout
+    ):
         z = np.random.default_rng(10).standard_normal((7, 6))
         if layout == "view of the series":
             pairs, rebuild = pairs_from_sequence(z), lambda: pairs_from_sequence(z.copy())
@@ -297,19 +328,50 @@ class TestPairsShareOneFactorization:
             pairs.x[k, 1] += 1.0
             got = exact_dmd(pairs)
             assert _same_bytes(got, exact_dmd(rebuild()))
-            assert len(pairs._factors_of_x) == 1
-        assert len(lapack_svds) == 1 + 3 * 2  # each write: the pairs and the rebuilt ones
+            assert len(pairs._coordinates) == 1
+        # Each write: the pairs and the rebuilt ones. A view writes y[k, 0] too,
+        # so the pairs stay a tall series; an own x no longer continues into y.
+        if layout == "view of the series":
+            assert lapack_qrs == [(7, 6)] * (1 + 3 * 2)
+            assert lapack_svds == [(6, 5)] * (1 + 3 * 2)
+        else:
+            assert lapack_qrs == [(7, 6)]
+            assert lapack_svds == [(6, 5)] + [(7, 5)] * (3 * 2)
+
+    @pytest.mark.parametrize("column", [-1, 0])
+    def test_writing_into_pairs_y_gives_new_coordinates(self, lapack_qrs, column):
+        z = np.random.default_rng(13).standard_normal((9, 6))
+        x, y = z[:, :-1].copy(), z[:, 1:].copy()
+        pairs = SnapshotPairs(x=x, y=y)
+        rebuild = lambda: SnapshotPairs(x=x.copy(), y=y.copy())  # noqa: E731
+        for call in (linear_consistency, exact_dmd, exact_dmd_qr):
+            call(pairs)
+        assert lapack_qrs == [(9, 6)]
+        for k in range(3):
+            pairs.y[k, column] += 1.0  # the last column keeps a series, the first ends it
+            for call in (linear_consistency, exact_dmd, exact_dmd_qr):
+                assert _same_bytes(call(pairs), call(rebuild()))
+            assert len(pairs._coordinates) == 1
+        # Each write: the pairs once, and each call's rebuilt ones.
+        assert len(lapack_qrs) == 1 + (3 * (1 + 3) if column == -1 else 0)
 
     def test_copies_leave_the_slot_alone(self):
         pairs = pairs_from_sequence(np.random.default_rng(11).standard_normal((5, 9)))
         exact_dmd(pairs)
-        assert len(pairs._factors_of_x) == 1
+        assert len(pairs._coordinates) == 1
         centered, _ = subtract_mean(pairs)
-        assert centered._factors_of_x == [] and dataclasses.replace(pairs)._factors_of_x == []
-        assert "_factors_of_x" not in repr(pairs)
-        held = pairs._factors_of_x[0]
+        assert centered._coordinates == [] and dataclasses.replace(pairs)._coordinates == []
+        assert "_coordinates" not in repr(pairs)
+        held = pairs._coordinates[0]
         exact_dmd(centered)  # the copy fills its own slot
-        assert len(centered._factors_of_x) == 1 and pairs._factors_of_x == [held]
+        assert len(centered._coordinates) == 1
+        assert len(pairs._coordinates) == 1 and pairs._coordinates[0] is held
+
+    def test_a_tall_series_whose_snapshot_norm_overflows_holds_nothing(self):
+        pairs = pairs_from_sequence(np.full((4, 3), 1e308))
+        with pytest.raises(FloatingPointError, match="overflow: the norm of a snapshot"):
+            exact_dmd(pairs)
+        assert pairs._coordinates == []
 
     def test_threads_on_one_shared_pairs_agree_bit_for_bit(self):
         z = np.random.default_rng(12).standard_normal((60, 20))
@@ -336,7 +398,7 @@ class TestPairsShareOneFactorization:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert len(results) == 6 and all(_same_bytes(got, want) for got in results)
-        assert len(pairs._factors_of_x) == 1
+        assert len(pairs._coordinates) == 1
 
 
 class TestEigDense:

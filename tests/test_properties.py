@@ -422,6 +422,83 @@ def test_qr_keeps_one_mode_per_direction_of_x_and_y(z):
 
 
 @st.composite
+def tall_series(draw):
+    """A time series with more states than snapshots (n > m + 1): Gaussian,
+    rank-deficient (x has exact zero rows and rank below m), badly scaled
+    (rows up to 2^8 apart, the whole at 1e-150 or 1e150) or complex."""
+    count = draw(st.integers(min_value=2, max_value=7))
+    n = count + draw(st.integers(min_value=1, max_value=6))
+    kind = draw(st.sampled_from(["gaussian", "rank-deficient", "badly scaled", "complex"]))
+    rng = np.random.default_rng(draw(seeds))
+    z = rng.standard_normal((n, count))
+    if kind == "rank-deficient":
+        z[rng.permutation(n)[max(1, count - 2):]] = 0.0
+    elif kind == "badly scaled":
+        z *= np.ldexp(1.0, rng.integers(-4, 5, size=(n, 1)))
+        z *= draw(st.sampled_from([1e-150, 1e150]))
+    elif kind == "complex":
+        z = z + 1j * rng.standard_normal((n, count))
+    return z
+
+
+def _explicit_fit(x, y):
+    """The rank-r SVD of x at the default cut, and b = y v / sigma, all at state size."""
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    r = int(np.sum(s > max(x.shape) * np.finfo(float).eps * s[0]))
+    u, s, v = u[:, :r], s[:r], vh[:r].conj().T
+    return u, s, v, (y @ v) / s
+
+
+def _near(got, want, tol) -> bool:
+    """Every entry of ``got`` lies within ``tol`` of some entry of ``want``."""
+    return got.size == 0 or bool(np.abs(got[:, None] - want[None, :]).min(axis=1).max() <= tol)
+
+
+@PROFILE
+@given(tall_series())
+def test_a_compressed_series_matches_the_explicit_computation(z):
+    """Every route on a tall series runs on the coordinates of one QR of its
+    snapshots; checked against a state-size numpy fit with the bounds of
+    test_four_routes_agree, test_exact_modes_are_eigenvectors_of_the_explicit_operator
+    and the equivalence tolerance, and roundoff for the consistency measures."""
+    pairs = pairs_from_sequence(z)
+    x, y = pairs.x, pairs.y
+    u, s, v, b = _explicit_fit(x, y)
+    lam = np.linalg.eigvals(u.conj().T @ b)
+    a = y @ np.linalg.pinv(x)
+    decs = [exact_dmd(pairs), projected_dmd(pairs), exact_dmd_qr(pairs), exact_dmd_sequential(z)]
+    assert pairs._coordinates[0][1].q is not None  # the compressed path ran
+    top = max(float(np.abs(lam).max()), 1e-300)
+    for dec in decs:
+        assert dec.svd_of_x.rank == len(s), dec.algorithm
+        assert _near(dec.eigenvalues, lam, 1e-9 * top), dec.algorithm
+        assert _near(lam[np.abs(lam) > 1e-6 * top], dec.eigenvalues, 1e-9 * top), dec.algorithm
+        for value, phi in zip(dec.eigenvalues, dec.exact_modes.T):
+            phi = phi / np.linalg.norm(phi)
+            assert np.linalg.norm(a @ phi - value * phi) <= 1e-9 * np.linalg.norm(a), dec.algorithm
+
+    report = linear_consistency(pairs)
+    y_norm = np.linalg.norm(y)
+    assert abs(report.defect - np.linalg.norm(y - (y @ v) @ v.conj().T) / y_norm) <= 1e-12
+    assert abs(report.residual - np.linalg.norm(b @ (u.conj().T @ x) - y) / y_norm) <= 1e-12
+
+    if pairs.n_pairs < 2:  # a single centred pair is zero
+        return
+    centered, _ = subtract_mean(pairs)
+    equivalence = lim_dmd_equivalence(centered)
+    assert centered._coordinates[0][1].q is not None
+    unit = np.ldexp(1.0, -np.frexp(np.abs(centered.x).max())[1])  # exact, so s**2 stays in range
+    u, s, v, b = _explicit_fit(centered.x * unit, centered.y * unit)
+    a_tilde = u.conj().T @ b
+    green = (u.conj().T @ (centered.y * unit)) @ (u.conj().T @ (centered.x * unit)).conj().T / s**2
+    assert equivalence.equivalent
+    assert equivalence.max_abs_diff <= 1e-10 * np.linalg.norm(a_tilde)
+    assert np.max(np.abs(green - a_tilde)) <= 1e-10 * np.linalg.norm(a_tilde)
+    gap = 1e-9 * max(float(np.abs(np.linalg.eigvals(a_tilde)).max()), 1e-300)
+    assert _near(np.linalg.eigvals(equivalence.green), np.linalg.eigvals(green), gap)
+
+
+@st.composite
 def impulse_responses(draw):
     """Real or complex (q, p) blocks, 1 <= q, p <= 3, with a stride of 1 to 3."""
     q, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
