@@ -102,7 +102,7 @@ def reduced_operator(
     frame = _frame(pairs)
     if rtol is None and atol is None:  # the default cut, at the data's own shape
         rtol = max(frame.shape) * _EPS
-    with _held_in(frame.factors):
+    with _held_in(frame):
         svd = reduced_svd(frame.x, rtol=rtol, atol=atol)
     b = (frame.y @ svd.v) / svd.sigma[None, :]
     u_states, b_states = frame.lift(svd.u, b)
@@ -386,7 +386,8 @@ def _decompose(
         basis, matrix = op.svd_of_x.u, op.a_tilde
     else:
         # q = [u c] and A = b u*, so q* A q = [a_tilde; c* b] [I, u* c].
-        basis = np.concatenate([op.svd_of_x.u, *op._frame.lift(complement)], axis=1)
+        q = op._frame.q
+        basis = np.concatenate([op.svd_of_x.u, complement if q is None else q @ complement], axis=1)
         uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
         matrix = np.concatenate([op.a_tilde, complement.conj().T @ op._b]) @ uq
     eig = eig_dense(matrix)

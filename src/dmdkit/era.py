@@ -199,7 +199,7 @@ def _realize(hankel: SnapshotPairs, order, p, q, rtol, atol) -> EraRealization:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
-    with _held_in(_frame(hankel).factors):
+    with _held_in(_frame(hankel)):
         svd = reduced_svd(h, rtol=rtol, atol=atol)
     r = svd.rank if order is None else int(order)
     if r < 1 or r > svd.rank:

@@ -40,11 +40,9 @@ def _require_centered(pairs: SnapshotPairs, force: bool) -> None:
     mean, scale = float(np.linalg.norm(_column_mean(x))), float(np.linalg.norm(x))
     if scale > 0 and mean > _MEAN_TOL * scale:
         raise ValueError(
-            "snapshots are not mean-subtracted (column-mean norm {:.2e} vs "
-            "data norm {:.2e}); center them with subtract_mean, or pass "
-            "force=True for data that is zero-mean by construction".format(
-                mean / unit, scale / unit
-            )
+            "snapshots are not mean-subtracted (column-mean norm / data norm "
+            "= {:.2e}); center them with subtract_mean, or pass force=True "
+            "for data that is zero-mean by construction".format(mean / scale)
         )
 
 

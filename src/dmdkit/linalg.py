@@ -10,12 +10,11 @@ numbers first appear in :func:`eig_dense`, whose eigenpairs are always
 complex128.
 
 :func:`reduced_svd` factors x once per pairs object. While
-:func:`_held_in` binds a slot, a call on a matrix equal bit for bit,
-in dtype and shape too, to the one held there reuses its LAPACK
-factors and makes its own rank cut; every other call factors anew.
-:func:`_qr` is the thin QR that compresses a tall time series to the
-coordinates of its snapshots (see :func:`dmdkit.pairs._frame`), whose
-x is then the matrix :func:`reduced_svd` factors. All factors are
+:func:`_held_in` binds a pairs object's coordinates (see
+:func:`dmdkit.pairs._frame`), a call on their own x, that very array,
+reads the factors they hold and makes its own rank cut; every other
+call factors anew. :func:`_qr` is the thin QR that compresses a tall
+time series to the coordinates of its snapshots. All factors are
 read-only on every path.
 """
 
@@ -44,7 +43,7 @@ _EIG_TOL = 1e-9
 # LAPACK geev rescales a matrix whose largest entry lies outside
 # [_GEEV_LOW, 1 / _GEEV_LOW] = [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138].
 _GEEV_LOW = float(np.sqrt(np.finfo(np.float64).tiny)) / _EPS
-_HELD = contextvars.ContextVar("_HELD", default=None)  # the slot reduced_svd reads and fills
+_HELD = contextvars.ContextVar("_HELD", default=None)  # the coordinates reduced_svd reads
 
 
 def _working_dtype(*arrays) -> type:
@@ -109,11 +108,6 @@ def _column_mean(a: np.ndarray) -> np.ndarray:
         unit = _unit_scale(a)
         mean = (a * unit).mean(axis=1) / unit
     return mean
-
-
-def _bits(a: np.ndarray) -> np.ndarray:
-    """A view of ``a``'s own bits as unsigned integers, in any layout: 0.0 and -0.0 differ."""
-    return a.view(f"u{a.itemsize}" if a.itemsize <= 8 else (np.uint64, a.itemsize // 8))
 
 
 def _divide(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -182,30 +176,23 @@ def _svd_threshold(shape, sigma, rtol, atol) -> float:
 
 
 @contextlib.contextmanager
-def _held_in(slot: list):
-    """Let :func:`reduced_svd` reuse and leave its factors in ``slot``.
-
-    ``slot`` is a pairs object's list of at most one ``(dtype, bits, factors)``
-    entry. Threads sharing a slot may each factor; each leaves a valid entry.
-    """
-    token = _HELD.set(slot)
+def _held_in(frame):
+    """Let :func:`reduced_svd` read ``frame.factors`` for ``frame.x``, the array itself."""
+    token = _HELD.set(frame)
     try:
         yield
     finally:
         _HELD.reset(token)
 
 
-def _factor(xm: np.ndarray):
-    """LAPACK's compact, read-only ``(u, s, vh)`` of ``xm``, reused from the bound slot."""
-    slot, bits = _HELD.get(), _bits(xm)
-    for dtype, key, factors in slot or ():
-        if dtype == xm.dtype and np.array_equal(key, bits):
-            return factors
+def _factor(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """LAPACK's compact, read-only ``(u, s, vh)`` of ``x``, validated as a nonempty matrix."""
+    xm = _as_matrix(x, "x")
+    if xm.size == 0:
+        raise DimensionError("x must have at least one row and one column")
     factors = np.linalg.svd(xm, full_matrices=False)
     for a in factors:
         a.flags.writeable = False
-    if slot is not None:
-        slot[:] = [(xm.dtype, bits.copy(), factors)]
     return factors
 
 
@@ -240,16 +227,13 @@ def reduced_svd(
     Raises:
         RankZeroError: every singular value fell below the cutoff.
     """
-    xm = _as_matrix(x, "x")
-    n, m = xm.shape
-    if n == 0 or m == 0:
-        raise DimensionError("x must have at least one row and one column")
-    u, s, vh = _factor(xm)
+    held = _HELD.get()
+    u, s, vh = held.factors if held is not None and x is held.x else _factor(x)
     if not np.isfinite(s[0]):  # x is finite, so its norm left the float64 range
         raise FloatingPointError(
             "overflow: the largest singular value of x exceeds the float64 range"
         )
-    cut = _svd_threshold((n, m), s, rtol, atol)
+    cut = _svd_threshold((u.shape[0], vh.shape[1]), s, rtol, atol)
     r = int(np.sum(s > cut))
     if r == 0:
         raise RankZeroError(

@@ -12,17 +12,24 @@ time-ordered series, y_k = x_{k+1}, is read from the data itself
 whenever it matters (delay embedding, amplitude fitting), so pairs from
 any constructor, centred or not, qualify when their columns line up.
 
+Pairs own read-only, C-ordered copies of x and y. Their data never
+changes, so the coordinates every library call on them runs in, and
+the factors of those coordinates, are built once, on first use, and
+held as plain attributes (see :func:`_frame`); pairs from any
+constructor share one memory layout, so they give the same bits.
+
 Columns are snapshots everywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _bits, _column_mean, _numeric_2d, _qr, _working_dtype
+from .linalg import _as_matrix, _column_mean, _factor, _numeric_2d, _qr, _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -71,8 +78,11 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
 class SnapshotPairs:
     """Matched snapshot matrices x, y with y_k the image of x_k.
 
-    Nothing else is recorded: whether the pairs form one time series
-    is read from x and y where it matters.
+    The pairs hold their own read-only, C-ordered copies of x and y, so
+    a later write into the arrays they were built from does not reach
+    them, and a write into ``pairs.x`` or ``pairs.y`` is refused: pairs
+    for changed data are new pairs. Nothing else is recorded: whether
+    the pairs form one time series is read from x and y where it matters.
 
     Attributes:
         x: (n, m) matrix of pre-images.
@@ -84,12 +94,14 @@ class SnapshotPairs:
     x: np.ndarray
     y: np.ndarray
     dt: float | None = None
-    # The latest coordinates of x and y (see _frame), shared by the library calls on these pairs.
-    _coordinates: list = field(default_factory=list, init=False, compare=False, repr=False)
+    # The coordinates of x and y (see _frame), shared by the library calls on these pairs.
+    _coordinates: _Frame | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("x", "y"):  # an ndarray, views included, is kept as it is
-            object.__setattr__(self, name, _numeric_2d(getattr(self, name), name))
+        for name in ("x", "y"):
+            own = np.array(_numeric_2d(getattr(self, name), name), order="C")
+            own.flags.writeable = False
+            object.__setattr__(self, name, own.view())  # numpy lets only the owner be made writeable
         if self.x.shape != self.y.shape:
             raise DimensionError(
                 f"x and y must have equal shapes, got {self.x.shape} and {self.y.shape}"
@@ -211,53 +223,50 @@ class _Frame:
     """Pairs in the coordinates of an orthonormal basis q: x = q @ self.x, y = q @ self.y.
 
     ``q`` is None where x and y are their own coordinates. ``shape`` is
-    the data's own (n, m), at which rank rules are taken, ``factors``
-    the slot that holds the SVD of ``self.x`` (see :func:`~dmdkit.linalg._held_in`),
-    and ``lifted`` the slot that holds the latest lift.
+    the data's own (n, m), at which rank rules are taken. The pairs'
+    data never changes, so the factors of x and the lifts are held with
+    no key.
     """
 
     q: np.ndarray | None
     x: np.ndarray
     y: np.ndarray
     shape: tuple[int, int]
-    factors: list = field(default_factory=list)
-    lifted: list = field(default_factory=list)
+    lifts: dict = field(default_factory=dict)  # rank r -> q @ [u b], see lift
 
-    def lift(self, *parts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``q @ a`` for each ``a`` of ``parts``, by one read-only product; the parts if q is None.
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The SVD of ``self.x``, factored on first use (see :func:`~dmdkit.linalg._held_in`)."""
+        return _factor(self.x)
 
-        The product is held, keyed on the dtype and bits of the parts, so
-        a request repeated on these coordinates lifts nothing.
+    def lift(self, u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``q @ u`` and ``q @ b`` by one read-only product; u and b themselves if q is None.
+
+        u and b are the rank-r basis of x's factors and y v / sigma, both
+        fixed by r, so the product is held per rank.
         """
         if self.q is None:
-            return parts
-        small = np.concatenate(parts, axis=1)
-        bits = _bits(small)
-        for dtype, key, lifted in self.lifted:
-            if dtype == small.dtype and np.array_equal(key, bits):
-                break
-        else:
-            lifted = self.q @ small
+            return u, b
+        r = u.shape[1]
+        if r not in self.lifts:
+            lifted = self.q @ np.concatenate([u, b], axis=1)
             lifted.flags.writeable = False
-            self.lifted[:] = [(small.dtype, bits, lifted)]
-        return tuple(np.split(lifted, np.cumsum([a.shape[1] for a in parts[:-1]]), axis=1))
+            self.lifts[r] = lifted[:, :r], lifted[:, r:]
+        return self.lifts[r]
 
 
 def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
-    """The coordinates every request on ``pairs`` runs in, held until x or y is written.
+    """The coordinates every request on ``pairs`` runs in, built on first use.
 
     A tall series (n > m + 1 states, and x[:, 1:] == y[:, :-1]) lies in
     the span of its m + 1 snapshots z = [x, y[:, -1]]. It is factored
     once as a thin QR, z = q r, and runs on r[:, :-1] and r[:, 1:]. Any
     other pairs, and pairs first held with ``compress=False``, are their
-    own coordinates. The slot holds one entry, keyed on the dtypes and
-    bits of x and y; threads sharing the pairs may each build one, and
-    each leaves a valid entry.
+    own coordinates. Threads sharing the pairs may each build them, and
+    each leaves valid coordinates.
     """
-    key = [(a.dtype, _bits(a)) for a in (pairs.x, pairs.y)]
-    for held, frame in pairs._coordinates:
-        if all(d == e and np.array_equal(b, c) for (d, b), (e, c) in zip(key, held)):
-            return frame
+    if pairs._coordinates is not None:
+        return pairs._coordinates
     n, m = pairs.x.shape
     if compress and n > m + 1 and np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
         z = np.empty((n, m + 1), _working_dtype(pairs.x, pairs.y), order="F")  # LAPACK's layout
@@ -268,7 +277,7 @@ def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
         frame = _Frame(q, r[:, :-1], r[:, 1:], (n, m))
     else:
         frame = _Frame(None, pairs.x, pairs.y, (n, m))
-    pairs._coordinates[:] = [([(d, b.copy()) for d, b in key], frame)]
+    object.__setattr__(pairs, "_coordinates", frame)
     return frame
 
 

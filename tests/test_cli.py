@@ -326,8 +326,6 @@ class TestPairingReadFromData:
         assert main(["dmd", "--input", src, "--output-dir", strided,
                      "--pairing", "strided", "--stride", "1",
                      "--scaling", "amplitude-qr"]) == 0
-        # Equal up to roundoff: the fancy-indexed pairs are laid out
-        # differently in memory, so the products need not match bit for bit.
         for want, got in zip(_eigenvalue_columns(seq), _eigenvalue_columns(strided)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -351,6 +349,30 @@ class TestPairingReadFromData:
                   (strided / "report.txt").read_text().splitlines()]
         assert [ln for ln in report[0] if not ln.startswith("pairing:")] == [
             ln for ln in report[1] if not ln.startswith("pairing:")]
+
+    @pytest.mark.parametrize("series, argv", [
+        ("wide", ["dmd"]), ("wide", ["dmd", "--mean", "x"]),
+        ("wide", ["dmd", "--mean", "pooled", "--scaling", "amplitude-gram"]),
+        ("tall", ["dmd", "--mean", "x"]), ("tall", ["lim"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_stride_one_pairs_write_the_sequential_bytes(self, tmp_path, series, argv):
+        # The pairs own C-ordered copies of x and y, so the layout of the
+        # strided gather reaches no product and no mean, wide or tall.
+        src = str(tmp_path / "z.csv")
+        main(["gen", "--output", src, *(
+            ["--kind", "two-timescale", "--steps", "60", "--seed", "5", "--dim", "8"]
+            if series == "wide" else ["--kind", "random-linear", "--dim", "40", "--steps", "12"])])
+        seq, strided = tmp_path / "seq", tmp_path / "strided"
+        assert main([*argv, "--input", src, "--output-dir", str(seq)]) == 0
+        assert main([*argv, "--input", src, "--output-dir", str(strided),
+                     "--pairing", "strided", "--stride", "1"]) == 0
+        names = sorted(p.name for p in seq.iterdir())
+        assert names == sorted(p.name for p in strided.iterdir())
+        for name in names:
+            want, got = ((d / name).read_bytes().splitlines(keepends=True) for d in (seq, strided))
+            if name == "report.txt":  # which names the pairing
+                want, got = ([ln for ln in r if not ln.startswith(b"pairing:")] for r in (want, got))
+            assert got == want, name
 
     def test_paired_shifted_arrays_take_a_delay(self, tmp_path):
         src = _series_csv(tmp_path)
@@ -731,7 +753,9 @@ class TestExitCodes:
         code = main(["lim", "--mean", "none", "--input", str(src),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 6
-        assert "not mean-subtracted" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not mean-subtracted (column-mean norm / data norm = 5.76e-01)" in err
+        assert "inf" not in err
 
     def test_a_hankel_split_leaving_the_derived_rows_negative_is_named(self, tmp_path, capsys):
         src = str(tmp_path / "imp.csv")

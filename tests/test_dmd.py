@@ -532,6 +532,25 @@ def test_reduced_operator_contract():
     assert np.linalg.norm(op.b - m @ u) < 1e-10
 
 
+@pytest.mark.parametrize("delta, in_range", [(1e-14, True), (1e-10, False)])
+def test_a_compressed_series_builds_zero_modes_at_the_shape_of_the_data(delta, in_range):
+    # z = [2 e1, e2, e2 / 2 + delta e3] in 200 states: A has lambda = 0 on
+    # w = (e1 - e2) / sqrt(2), whose image A w = -delta e3 / sqrt(2) lies
+    # outside range(x). The image counts as vanished when it is at most
+    # max(n, m) eps |y| |v w / sigma|, with n = 200 the data's own rows,
+    # not the 3 of the QR coordinates: about 5.6e-14 against 8.3e-16 for delta.
+    z = np.eye(200)[:, :3] @ np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.0, delta]])
+    pairs = pairs_from_sequence(z)
+    dec = exact_dmd(pairs, include_zero_modes=True)
+    assert pairs._coordinates.q is not None  # the compressed path ran
+    assert np.allclose(dec.eigenvalues, [0.5, 0.0], rtol=0, atol=1e-12)
+    mode = dec.exact_modes[:3, 1]
+    if in_range:  # u w, itself a lambda = 0 eigenvector of A to roundoff
+        assert np.allclose(np.abs(mode), [np.sqrt(0.5), np.sqrt(0.5), 0.0], rtol=0, atol=1e-12)
+    else:  # the image of w
+        assert abs(mode[:2]).max() < 1e-20 and abs(mode[2]) > 0.0
+
+
 def test_a_compressed_series_cuts_at_the_shape_of_the_data():
     # In the QR coordinates x is 3 x 2, but the rank rules read 200 x 2:
     # 1e-14 lies above 3 eps and 4 eps, below 200 eps. So the second
@@ -540,7 +559,7 @@ def test_a_compressed_series_cuts_at_the_shape_of_the_data():
     z = basis @ np.array([[1.0, 1.0, 1.0], [0.0, 1e-14, 0.0], [0.0, 0.0, 1e-14]])
     pairs = pairs_from_sequence(z)
     op = reduced_operator(pairs)
-    assert pairs._coordinates[0][1].q is not None  # the compressed path ran
+    assert pairs._coordinates.q is not None  # the compressed path ran
     assert op.svd_of_x.rank == 1
     assert op.svd_of_x.truncation_tol == pytest.approx(200 * np.finfo(float).eps * np.sqrt(2.0))
     assert linear_consistency(pairs).rank == 1

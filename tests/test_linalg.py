@@ -33,6 +33,7 @@ from dmdkit.dmd import _sequential, reduced_operator
 from dmdkit.errors import DimensionError, EigensolverError
 from dmdkit.era import _hankel_pair, _realize, _similarity
 from dmdkit.linalg import _norm
+from dmdkit.pairs import _frame
 
 
 def _cofactor_det(m):
@@ -110,8 +111,13 @@ class TestReducedSvd:
         assert svd.truncation_tol > 0
 
 
+def _coordinates_of(x):
+    """The coordinates of pairs (x, x), which, with unequal columns, are no series: their x is x."""
+    return _frame(SnapshotPairs(x=x, y=x))
+
+
 class TestSharedFactorizations:
-    """A run is one ``linalg._held_in`` block: the calls that read and fill one pairs slot."""
+    """A run is one ``linalg._held_in`` block: the calls that read one pairs object's coordinates."""
 
     def test_calls_outside_a_run_factor_every_time(self, lapack_svds, lapack_qrs):
         z = np.random.default_rng(0).standard_normal((6, 5))
@@ -124,72 +130,56 @@ class TestSharedFactorizations:
         assert lapack_svds == [(6, 5), (6, 5), (5, 4)]
 
     def test_a_run_factors_each_matrix_once_and_cuts_per_call(self, lapack_svds):
-        x = np.diag([1.0, 1e-6, 1e-12])
-        slot = []
-        with linalg._held_in(slot):
-            ranks = [reduced_svd(x).rank, reduced_svd(x, rtol=1e-9).rank,
-                     reduced_svd(x, atol=1e-3).rank]
-            assert reduced_svd(x.copy()).truncation_tol == reduced_svd(x).truncation_tol
+        frame = _coordinates_of(np.diag([1.0, 1e-6, 1e-12]))
+        with linalg._held_in(frame):
+            ranks = [reduced_svd(frame.x).rank, reduced_svd(frame.x, rtol=1e-9).rank,
+                     reduced_svd(frame.x, atol=1e-3).rank]
         assert ranks == [3, 2, 1]
-        assert lapack_svds == [(3, 3)] and len(slot) == 1
-        reduced_svd(x)  # the run is over: nothing is bound
+        assert lapack_svds == [(3, 3)]
+        reduced_svd(frame.x)  # the run is over: nothing is bound
         assert lapack_svds == [(3, 3), (3, 3)]
-        with linalg._held_in(slot):  # the slot still holds x for its next run
-            reduced_svd(x)
+        with linalg._held_in(frame):  # the coordinates still hold their factors for the next run
+            reduced_svd(frame.x)
         assert len(lapack_svds) == 2
 
     def test_shared_factors_equal_fresh_ones_bit_for_bit(self):
         x = np.random.default_rng(1).standard_normal((7, 4)) + 1j
         fresh = reduced_svd(x)
-        with linalg._held_in([]):
-            reduced_svd(x, rtol=0.5)
-            shared = reduced_svd(x)
+        frame = _coordinates_of(x)
+        with linalg._held_in(frame):
+            reduced_svd(frame.x, rtol=0.5)
+            shared = reduced_svd(frame.x)
         for field in ("u", "sigma", "v", "rank", "truncation_tol"):
             assert np.array_equal(getattr(shared, field), getattr(fresh, field)), field
 
-    def test_a_matrix_differing_in_one_bit_dtype_or_shape_is_factored_anew(self, lapack_svds):
-        x = np.random.default_rng(2).standard_normal((4, 6))
-        x[0, 0] = 0.0
-        negative_zero = x.copy()
-        negative_zero[0, 0] = -0.0
-        as_complex = x.view(np.complex128)  # the same bits, read as 4 x 3 complex
-        reshaped = x.reshape(6, 4)  # the same bits in the same order
-        slot = []
-        with linalg._held_in(slot):
-            for a in (x, x, negative_zero, negative_zero, as_complex, reshaped, reshaped):
-                reduced_svd(a)
-        assert lapack_svds == [(4, 6), (4, 6), (4, 3), (6, 4)]
-        assert len(slot) == 1  # the slot holds the latest matrix only
-
-    def test_a_caller_writing_into_its_matrix_gets_new_factors(self, lapack_svds):
-        x = np.random.default_rng(3).standard_normal((5, 3))
-        with linalg._held_in([]):
-            reduced_svd(x)
-            x[2, 1] += 1.0
-            got = reduced_svd(x)
-        assert len(lapack_svds) == 2
-        assert np.array_equal(got.sigma, reduced_svd(x).sigma)
+    def test_only_the_coordinates_own_x_reads_their_factors(self, lapack_svds):
+        frame = _coordinates_of(np.random.default_rng(2).standard_normal((4, 4)))
+        copy = frame.x.copy()  # equal bit for bit, in dtype and shape too
+        with linalg._held_in(frame):
+            got = [reduced_svd(a) for a in (frame.x, frame.x, copy, frame.x[:], frame.x)]
+        assert lapack_svds == [(4, 4)] * 3  # the coordinates' x once, the copy and the view anew
+        assert all(np.array_equal(svd.u, got[0].u) for svd in got)
 
     def test_held_factors_are_read_only_inside_a_run(self):
         x = np.random.default_rng(4).standard_normal((5, 3))
         assert not reduced_svd(x).u.flags.writeable  # outside a run too: one rule
-        slot = []
-        with linalg._held_in(slot):
-            svd = reduced_svd(x)
+        frame = _coordinates_of(x)
+        with linalg._held_in(frame):
+            svd = reduced_svd(frame.x)
             with pytest.raises(ValueError, match="read-only"):
                 svd.u[0, 0] = 1.0
             with pytest.raises(ValueError, match="read-only"):
                 svd.v[0, 0] = 1.0
-        assert not any(a.flags.writeable for a in slot[0][2])
+        assert not any(a.flags.writeable for a in frame.factors)
 
-    def test_a_failing_run_drops_what_it_held(self):
-        slot = []
+    def test_a_failing_run_keeps_what_it_holds(self, lapack_svds):
+        pairs = SnapshotPairs(x=np.zeros((2, 2)), y=np.eye(2))
         with pytest.raises(RankZeroError):
-            with linalg._held_in(slot):
-                reduced_svd(np.eye(2))
-                reduced_svd(np.zeros((2, 2)))
-        assert linalg._HELD.get() is None  # the slot is unbound
-        assert len(slot) == 1 and slot[0][1].shape == (2, 2)  # and holds one entry
+            reduced_operator(pairs)
+        assert linalg._HELD.get() is None  # the coordinates are unbound
+        with pytest.raises(RankZeroError):
+            reduced_operator(pairs)
+        assert lapack_svds == [(2, 2)]  # and still hold the factors of x
 
     def test_runs_in_threads_hold_their_own_factors(self, lapack_svds):
         x = np.random.default_rng(7).standard_normal((40, 12))
@@ -198,8 +188,9 @@ class TestSharedFactorizations:
 
         def run():
             try:
-                with linalg._held_in([]):
-                    got = [reduced_svd(x, rtol=rtol) for rtol in (None, 1e-3, None, 1e-1)]
+                frame = _coordinates_of(x)
+                with linalg._held_in(frame):
+                    got = [reduced_svd(frame.x, rtol=rtol) for rtol in (None, 1e-3, None, 1e-1)]
                 results.append(got[0].sigma.tolist() == want.sigma.tolist()
                                and np.array_equal(got[2].u, want.u)
                                and linalg._HELD.get() is None)
@@ -219,7 +210,7 @@ class TestSharedFactorizations:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert results == [True] * 6
-        assert len(lapack_svds) == 1 + 6  # each thread's slot factors x once
+        assert len(lapack_svds) == 1 + 6  # each thread's coordinates factor x once
 
     @staticmethod
     def _assert_same_report(a, b):
@@ -285,8 +276,8 @@ class TestPairsShareOneFactorization:
             assert _same_bytes(shared, fresh)
 
     def test_lifts_on_shared_coordinates_equal_fresh_ones_bit_for_bit(self):
-        # Different cuts, and the QR and sequential complements, lift different
-        # columns by the one held product slot of the pairs' coordinates.
+        # Different cuts lift u and b at different ranks, each held by the
+        # pairs' coordinates; the QR and sequential complements are lifted apart.
         rng = np.random.default_rng(14)
         z = rng.standard_normal((40, 9)) * np.logspace(0, -8, 9)
         pairs = pairs_from_sequence(z)
@@ -312,66 +303,53 @@ class TestPairsShareOneFactorization:
         assert lapack_qrs == [(8, 6)] * 4
         assert lapack_svds == [(6, 5)] * 4
 
-    @pytest.mark.parametrize("layout", ["view of the series", "own contiguous x"])
-    def test_writing_into_pairs_x_gives_new_factors_and_holds_one(
+    @pytest.mark.parametrize("write", [
+        lambda pairs: pairs.x.__setitem__((0, 1), 1.0),
+        lambda pairs: pairs.y.__setitem__((0, -1), 1.0),
+        lambda pairs: pairs.x.setflags(write=True),
+        lambda pairs: pairs.y.setflags(write=True),
+    ], ids=["into x", "into y", "x made writeable", "y made writeable"])
+    def test_writes_into_the_pairs_are_refused(self, write):
+        z = np.random.default_rng(10).standard_normal((7, 6))
+        pairs = pairs_from_sequence(z)
+        want = exact_dmd(pairs)
+        with pytest.raises(ValueError):
+            write(pairs)
+        assert not pairs.x.flags.writeable and not pairs.y.flags.writeable
+        assert _same_bytes(exact_dmd(pairs), want)
+
+    @pytest.mark.parametrize("layout", ["view of the series", "own arrays"])
+    def test_a_later_write_into_the_source_leaves_every_answer_unchanged(
         self, lapack_svds, lapack_qrs, layout
     ):
-        z = np.random.default_rng(10).standard_normal((7, 6))
-        if layout == "view of the series":
-            pairs, rebuild = pairs_from_sequence(z), lambda: pairs_from_sequence(z.copy())
-        else:
-            x, y = z[:, :-1].copy(), z[:, 1:].copy()
-            pairs = SnapshotPairs(x=x, y=y)
-            rebuild = lambda: SnapshotPairs(x=x.copy(), y=y.copy())  # noqa: E731
-        exact_dmd(pairs)
-        for k in range(3):
-            pairs.x[k, 1] += 1.0
-            got = exact_dmd(pairs)
-            assert _same_bytes(got, exact_dmd(rebuild()))
-            assert len(pairs._coordinates) == 1
-        # Each write: the pairs and the rebuilt ones. A view writes y[k, 0] too,
-        # so the pairs stay a tall series; an own x no longer continues into y.
-        if layout == "view of the series":
-            assert lapack_qrs == [(7, 6)] * (1 + 3 * 2)
-            assert lapack_svds == [(6, 5)] * (1 + 3 * 2)
-        else:
-            assert lapack_qrs == [(7, 6)]
-            assert lapack_svds == [(6, 5)] + [(7, 5)] * (3 * 2)
-
-    @pytest.mark.parametrize("column", [-1, 0])
-    def test_writing_into_pairs_y_gives_new_coordinates(self, lapack_qrs, column):
         z = np.random.default_rng(13).standard_normal((9, 6))
         x, y = z[:, :-1].copy(), z[:, 1:].copy()
-        pairs = SnapshotPairs(x=x, y=y)
-        rebuild = lambda: SnapshotPairs(x=x.copy(), y=y.copy())  # noqa: E731
-        for call in (linear_consistency, exact_dmd, exact_dmd_qr):
-            call(pairs)
-        assert lapack_qrs == [(9, 6)]
-        for k in range(3):
-            pairs.y[k, column] += 1.0  # the last column keeps a series, the first ends it
-            for call in (linear_consistency, exact_dmd, exact_dmd_qr):
-                assert _same_bytes(call(pairs), call(rebuild()))
-            assert len(pairs._coordinates) == 1
-        # Each write: the pairs once, and each call's rebuilt ones.
-        assert len(lapack_qrs) == 1 + (3 * (1 + 3) if column == -1 else 0)
+        pairs = pairs_from_sequence(z) if layout == "view of the series" else SnapshotPairs(x=x, y=y)
+        want = _library_chain(lambda: pairs_from_sequence(z.copy()))
+        for source in (z, x, y):  # the pairs own copies of x and y, so none of this reaches them
+            source[0, :] = 1.0
+        got = _library_chain(lambda: pairs)
+        assert lapack_qrs == [(9, 6)] * (5 + 1)  # still a tall series, factored once
+        assert len(lapack_svds) == 5 + 2
+        for shared, fresh in zip(got, want):
+            assert _same_bytes(shared, fresh)
 
-    def test_copies_leave_the_slot_alone(self):
+    def test_copies_leave_the_coordinates_alone(self):
         pairs = pairs_from_sequence(np.random.default_rng(11).standard_normal((5, 9)))
         exact_dmd(pairs)
-        assert len(pairs._coordinates) == 1
+        held = pairs._coordinates
+        assert held is not None
         centered, _ = subtract_mean(pairs)
-        assert centered._coordinates == [] and dataclasses.replace(pairs)._coordinates == []
+        assert centered._coordinates is None and dataclasses.replace(pairs)._coordinates is None
         assert "_coordinates" not in repr(pairs)
-        held = pairs._coordinates[0]
-        exact_dmd(centered)  # the copy fills its own slot
-        assert len(centered._coordinates) == 1
-        assert len(pairs._coordinates) == 1 and pairs._coordinates[0] is held
+        exact_dmd(centered)  # the copy builds its own
+        assert centered._coordinates is not None and pairs._coordinates is held
 
     def test_a_tall_series_whose_snapshot_norm_overflows_holds_nothing(self):
         pairs = pairs_from_sequence(np.full((4, 3), 1e308))
         with pytest.raises(FloatingPointError, match="overflow: the norm of a snapshot"):
             exact_dmd(pairs)
-        assert pairs._coordinates == []
+        assert pairs._coordinates is None
 
     def test_threads_on_one_shared_pairs_agree_bit_for_bit(self):
         z = np.random.default_rng(12).standard_normal((60, 20))
@@ -398,7 +376,7 @@ class TestPairsShareOneFactorization:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert len(results) == 6 and all(_same_bytes(got, want) for got in results)
-        assert len(pairs._coordinates) == 1
+        assert pairs._coordinates is not None
 
 
 class TestEigDense:

@@ -57,14 +57,19 @@ def test_ragged_snapshots_are_still_inconsistent_lengths():
         pairs_from_sequence([[1.0, 2.0], [3.0]])
 
 
-def test_pairs_built_directly_take_array_likes_and_keep_views():
+def test_pairs_built_directly_take_array_likes_and_own_read_only_copies():
     pairs = SnapshotPairs(x=[[1.0]], y=[[1.0]])
     assert isinstance(pairs.x, np.ndarray) and pairs.x.shape == (1, 1)
     assert exact_dmd(pairs).eigenvalues.tolist() == [1.0]
     z = np.arange(12.0).reshape(3, 4)
     x, y = z[:, :-1], z[:, 1:]
-    view = SnapshotPairs(x=x, y=y)
-    assert view.x is x and view.y is y
+    own = SnapshotPairs(x=x, y=y)
+    for got, source in ((own.x, x), (own.y, y)):
+        assert np.array_equal(got, source) and got.dtype == source.dtype
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert not np.shares_memory(got, z)
+    z[:] = -1.0
+    assert own.x[0].tolist() == [0.0, 1.0, 2.0] and own.y[0].tolist() == [1.0, 2.0, 3.0]
 
 
 @pytest.mark.parametrize("x, y, message", [

@@ -467,7 +467,7 @@ def test_a_compressed_series_matches_the_explicit_computation(z):
     lam = np.linalg.eigvals(u.conj().T @ b)
     a = y @ np.linalg.pinv(x)
     decs = [exact_dmd(pairs), projected_dmd(pairs), exact_dmd_qr(pairs), exact_dmd_sequential(z)]
-    assert pairs._coordinates[0][1].q is not None  # the compressed path ran
+    assert pairs._coordinates.q is not None  # the compressed path ran
     top = max(float(np.abs(lam).max()), 1e-300)
     for dec in decs:
         assert dec.svd_of_x.rank == len(s), dec.algorithm
@@ -486,7 +486,7 @@ def test_a_compressed_series_matches_the_explicit_computation(z):
         return
     centered, _ = subtract_mean(pairs)
     equivalence = lim_dmd_equivalence(centered)
-    assert centered._coordinates[0][1].q is not None
+    assert centered._coordinates.q is not None
     unit = np.ldexp(1.0, -np.frexp(np.abs(centered.x).max())[1])  # exact, so s**2 stays in range
     u, s, v, b = _explicit_fit(centered.x * unit, centered.y * unit)
     a_tilde = u.conj().T @ b
