@@ -41,16 +41,7 @@ import numpy as np
 from . import era as era_mod
 from . import generators as gen_mod
 from . import lim as lim_mod
-from .dmd import (
-    _followers,
-    _rates,
-    _sequential,
-    exact_dmd,
-    exact_dmd_qr,
-    linear_consistency,
-    projected_dmd,
-    spectrum,
-)
+from .dmd import _decompose, _followers, _rates, linear_consistency, spectrum
 from .errors import (
     ConfigError,
     DimensionError,
@@ -198,15 +189,6 @@ def _build_pairs(config: argparse.Namespace):
     return subtract_mean(pairs, "x-mean" if config.mean == "x" else "pooled-mean")[0]
 
 
-def _decompose(config: argparse.Namespace, pairs):
-    if config.algorithm == "sequential":
-        _require_series(pairs)
-    route = {"exact": exact_dmd, "projected": projected_dmd, "qr": exact_dmd_qr,
-             "sequential": _sequential}[config.algorithm]
-    return route(pairs, rtol=config.rank_rtol, atol=config.rank_atol,
-                 zero_tol=config.zero_tol, include_zero_modes=config.include_zero_modes)
-
-
 def _sorted_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small matrix, descending |lambda| then ascending arg."""
     lam = eig_dense(mat).values
@@ -229,7 +211,8 @@ def _run_dmd(config: argparse.Namespace) -> None:
     consistency = linear_consistency(
         pairs, rtol=config.rank_rtol, atol=config.rank_atol
     )
-    dec = _decompose(config, pairs)
+    dec = _decompose(config.algorithm, pairs, config.rank_rtol, config.rank_atol,
+                     config.zero_tol, config.include_zero_modes)
     if config.scaling != "unit-norm":  # every decomposition is unit-norm
         dec = scale_amplitudes(dec, pairs, method=config.scaling.split("-")[1])
     points = spectrum(dec, dt=config.dt, m_weight=config.m_weight)

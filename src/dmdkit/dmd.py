@@ -12,12 +12,13 @@ Four routes to the same eigenvalues:
   where c is at most one vector: the part of the last snapshot outside
   range(x).
 
-All four are one computation, :func:`_decompose`: build a small
-compression of A, eigendecompose it once, drop the zero modes, fix each
-mode's scale, phase and order on the small eigenvectors, and lift the
-exact modes. The routes only choose the compression basis (u, or the
-joint basis q = [u c]) and how the exact modes are lifted, which keeps
-the four-way agreement a real check.
+All four are one computation, :func:`_decompose`, from the pairs on:
+build the reduced operator and, for QR and sequential, the complement
+c, compress A to a small matrix, eigendecompose it once, drop the zero
+modes, fix each mode's scale, phase and order on the small
+eigenvectors, and lift the exact modes. The routes only choose the
+compression basis (u, or the joint basis q = [u c]) and how the exact
+modes are lifted, which keeps the four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. A tall time series (more states than
@@ -33,15 +34,15 @@ space is a product with a real matrix (:func:`_lift`).
 
 from __future__ import annotations
 
-import operator
+import contextlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _divide, _held_in, _norm, _svd_threshold
+from .linalg import ReducedSvd, _divide, _held_in, _index, _norm, _svd_threshold
 from .linalg import eig_dense, reduced_svd
-from .pairs import SnapshotPairs, _frame, _Frame, pairs_from_sequence
+from .pairs import SnapshotPairs, _frame, _Frame, _require_series, pairs_from_sequence
 
 __all__ = [
     "ReducedOperator",
@@ -361,33 +362,54 @@ def _column_scale(reduced: np.ndarray) -> np.ndarray:
 
 def _decompose(
     algorithm: str,
-    op: ReducedOperator,
-    *,
-    complement: np.ndarray | None = None,
+    pairs: SnapshotPairs,
+    rtol: float | None = None,
+    atol: float | None = None,
     zero_tol: float | None = None,
     include_zero_modes: bool = False,
 ) -> DmdDecomposition:
-    """The one decomposition every route runs: eig, zero cut, scale, order.
+    """The one path every route takes from pairs: operator, complement, eig, zero cut, order.
 
-    The small matrix is a_tilde = u* A u or, for the joint-basis routes
-    (QR and sequential), q* A q with q = [u c], the orthonormal
-    ``complement`` c spanning the part of y outside range(x), given in
-    the pairs' coordinates like everything else here but the lifted
-    bases. Zero modes are dropped, and scale and order fixed, on the
-    small vectors only. How the exact modes are lifted on read is the
-    one thing the routes differ in (see :class:`DmdDecomposition`). For
-    the exact and projected routes, null-space modes are settled here by
+    It checks that ``"sequential"`` pairs form one series and builds the
+    :func:`reduced_operator` once. The small matrix is a_tilde = u* A u
+    or, on the joint-basis routes, q* A q with q = [u c], c orthonormal
+    and spanning the part of y outside range(x): for ``"qr"`` the left
+    singular vectors of that residual above the rank rule of [x y], for
+    ``"sequential"`` the normalized part of z_m outside range(x) when it
+    stands above the rule of [x z_m]. u is projected out twice, so the
+    residual is orthogonal to u to roundoff, and the rule is taken at
+    the data's own shape and at hypot(sigma_1(x), |y|_F or |z_m|), an
+    upper bound of the joined matrix's sigma_1. All of it runs in the
+    pairs' coordinates; only the bases are lifted. Zero modes are
+    dropped, and scale and order fixed, on the small vectors only. How
+    the exact modes are lifted on read is the one thing the routes
+    differ in (see :class:`DmdDecomposition`). For the exact and
+    projected routes, null-space modes are settled here by
     :func:`_exact_zero_mode`, and the exact route lifts its modes once,
     transiently, for the norms that fix their order and that
     :func:`spectrum` reads.
     """
-    u = op._svd.u
-    if complement is None:
-        basis, matrix = op.svd_of_x.u, op.a_tilde
-    else:
+    if algorithm == "sequential":
+        _require_series(pairs)
+    op = reduced_operator(pairs, rtol=rtol, atol=atol)
+    u, frame = op._svd.u, op._frame
+    joint = algorithm in ("qr", "sequential")
+    basis, matrix, complement = op.svd_of_x.u, op.a_tilde, None
+    if joint:
+        ys = frame.y if algorithm == "qr" else frame.y[:, -1:]  # all of y, or z_m
+        rest = ys - u @ (u.conj().T @ ys)
+        rest -= u @ (u.conj().T @ rest)
+        top = np.hypot(op._svd.sigma[0], _norm(ys))
+        rank_cut = _svd_threshold((frame.shape[0], frame.shape[1] + ys.shape[1]), [top], rtol, atol)
+        if algorithm == "qr":
+            with contextlib.suppress(RankZeroError):  # else y lies in range(x), so q = u
+                complement = reduced_svd(rest, atol=rank_cut).u
+        elif _norm(rest) > rank_cut:
+            complement = rest / _norm(rest)
+    if complement is not None:
         # q = [u c] and A = b u*, so q* A q = [a_tilde; c* b] [I, u* c].
-        q = op._frame.q
-        basis = np.concatenate([op.svd_of_x.u, complement if q is None else q @ complement], axis=1)
+        lifted = complement if frame.q is None else frame.q @ complement
+        basis = np.concatenate([basis, lifted], axis=1)
         uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
         matrix = np.concatenate([op.a_tilde, complement.conj().T @ op._b]) @ uq
     eig = eig_dense(matrix)
@@ -398,7 +420,6 @@ def _decompose(
     vectors = eig.vectors[:, kept]
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
     scale = _column_scale(reduced)
-    joint = algorithm in ("qr", "sequential")
     norms = np.linalg.norm(vectors, axis=0) * np.abs(scale)  # q v and u w: norms of v and w
     if not joint:
         divisors = lam.copy()
@@ -444,11 +465,7 @@ def exact_dmd(
     Zero eigenvalues are dropped unless ``include_zero_modes`` is set,
     in which case a genuine null-space eigenvector is constructed.
     """
-    op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    return _decompose(
-        "exact", op, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes,
-    )
+    return _decompose("exact", pairs, rtol, atol, zero_tol, include_zero_modes)
 
 
 def projected_dmd(
@@ -466,29 +483,7 @@ def projected_dmd(
     projection onto range(x); a null-space exact mode built from the
     image of y (``include_zero_modes``) may have no part in range(x).
     """
-    op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    return _decompose(
-        "projected", op, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes,
-    )
-
-
-def _outside_range(
-    op: ReducedOperator, a: np.ndarray, rtol: float | None, atol: float | None
-) -> tuple[np.ndarray, float]:
-    """The part of the columns ``a`` outside range(x), and its cut, in the pairs' coordinates.
-
-    u is projected out twice, so that the residual is orthogonal to u to
-    roundoff. The cut is the rank rule of [x a] at the data's own shape,
-    taken at hypot(sigma_1(x), |a|_F), an upper bound of sigma_1([x a]);
-    a direction of the residual counts when it stands above the cut.
-    """
-    u = op._svd.u
-    rest = a - u @ (u.conj().T @ a)
-    rest -= u @ (u.conj().T @ rest)
-    top = np.hypot(op._svd.sigma[0], _norm(a))
-    shape = (op._frame.shape[0], op._svd.v.shape[0] + a.shape[1])
-    return rest, _svd_threshold(shape, [top], rtol, atol)
+    return _decompose("projected", pairs, rtol, atol, zero_tol, include_zero_modes)
 
 
 def exact_dmd_qr(
@@ -508,16 +503,7 @@ def exact_dmd_qr(
     needed. c comes from an SVD of that n x m residual, cut at the rank
     rule of [x y]; it is empty when y lies in range(x), and then q = u.
     """
-    op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    rest, cut = _outside_range(op, op._frame.y, rtol, atol)
-    try:
-        complement = reduced_svd(rest, atol=cut).u
-    except RankZeroError:
-        complement = None  # y lies in range(x), so q = u
-    return _decompose(
-        "qr", op, complement=complement, zero_tol=zero_tol,
-        include_zero_modes=include_zero_modes,
-    )
+    return _decompose("qr", pairs, rtol, atol, zero_tol, include_zero_modes)
 
 
 def exact_dmd_sequential(
@@ -538,19 +524,8 @@ def exact_dmd_sequential(
     range(x) and the output coincides with :func:`projected_dmd`; the
     exact and projected families are then identical.
     """
-    return _sequential(pairs_from_sequence(z, dt=dt), rtol, atol, zero_tol, include_zero_modes)
-
-
-def _sequential(pairs: SnapshotPairs, rtol=None, atol=None, zero_tol=None,
-                include_zero_modes=False) -> DmdDecomposition:
-    """:func:`exact_dmd_sequential` on ``pairs`` that form one series, which it factors."""
-    op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    rest, cut = _outside_range(op, op._frame.y[:, -1:], rtol, atol)
-    norm = _norm(rest)
-    return _decompose(
-        "sequential", op, complement=rest / norm if norm > cut else None,
-        zero_tol=zero_tol, include_zero_modes=include_zero_modes,
-    )
+    pairs = pairs_from_sequence(z, dt=dt)
+    return _decompose("sequential", pairs, rtol, atol, zero_tol, include_zero_modes)
 
 
 @dataclass(frozen=True)
@@ -631,13 +606,7 @@ def propagate(dec: DmdDecomposition, coefficients, steps: int) -> np.ndarray:
         raise DimensionError(f"expected {dec.n_modes} coefficients, got {c.shape[0]}")
     if not np.all(np.isfinite(c)):
         raise ValueError("coefficients contain non-finite entries")
-    try:
-        steps = operator.index(steps)
-    except TypeError:
-        raise ValueError(f"steps must be an integer, got {steps!r}") from None
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    return dec.modes @ (c * dec.eigenvalues**steps)
+    return dec.modes @ (c * dec.eigenvalues ** _index(steps, "steps", 0))
 
 
 @dataclass(frozen=True)

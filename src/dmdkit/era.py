@@ -18,7 +18,8 @@ import numpy as np
 
 from .dmd import exact_dmd, reduced_operator
 from .errors import DimensionError
-from .linalg import _as_matrix, _held_in, _max_residual, _working_dtype, eig_dense, reduced_svd
+from .linalg import _as_matrix, _held_in, _index, _max_residual, _working_dtype
+from .linalg import eig_dense, reduced_svd
 from .pairs import SnapshotPairs, _frame, pairs_from_strided
 
 __all__ = [
@@ -58,18 +59,15 @@ def markov_parameters(a, b, c, *, count: int, stride: int = 1) -> MarkovSequence
     """Generate C A^(kP) B and C A^(kP+1) B from a state-space model."""
     dtype = _working_dtype(a, b, c)
     a = np.asarray(a, dtype=dtype)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"a must be a square matrix, got shape {a.shape}")
     b = np.atleast_2d(np.asarray(b, dtype=dtype))
     c = np.atleast_2d(np.asarray(c, dtype=dtype))
     if b.shape[0] == 1 and a.shape[0] != 1 and b.shape[1] == a.shape[0]:
         b = b.T
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError("a must be square")
     if b.shape[0] != a.shape[0] or c.shape[1] != a.shape[0]:
         raise DimensionError("b/c dimensions do not match a")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    count, stride = _index(count, "count", 1), _index(stride, "stride", 1)
     blocks = []
     g = b  # holds a^j @ b
     for _ in range((count - 1) * stride + 2):
@@ -119,8 +117,8 @@ def build_hankel(
     if m_o is None and m_c is None:
         m_o = (m - 1) // 2
     derived = "m_o" if m_o is None else "m_c" if m_c is None else None
-    m_c = m - 1 - int(m_o) if m_c is None else int(m_c)
-    m_o = m - 1 - m_c if m_o is None else int(m_o)
+    m_c = m - 1 - _index(m_o, "m_o") if m_c is None else _index(m_c, "m_c")
+    m_o = m - 1 - m_c if m_o is None else _index(m_o, "m_o")
     if m_c < 0 or m_o < 0:
         why = f" ({derived} derived from m_c + m_o = len(params) - 1 = {m - 1})" if derived else ""
         raise ValueError(f"m_c and m_o must be nonnegative, got m_c = {m_c} and m_o = {m_o}{why}")
@@ -195,13 +193,14 @@ def era_realize(
 def _realize(hankel: SnapshotPairs, order, p, q, rtol, atol) -> EraRealization:
     """:func:`era_realize` on the pairs (H, H'), factoring H once per pairs object."""
     h, hs = hankel.x, hankel.y
+    p, q = _index(p, "p"), _index(q, "q")
     if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )
     with _held_in(_frame(hankel)):
         svd = reduced_svd(h, rtol=rtol, atol=atol)
-    r = svd.rank if order is None else int(order)
+    r = svd.rank if order is None else _index(order, "order")
     if r < 1 or r > svd.rank:
         raise ValueError(f"order {r} outside 1..numerical rank {svd.rank}")
     root = np.sqrt(svd.sigma[:r])

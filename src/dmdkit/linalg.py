@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,20 @@ def _numeric_2d(a, name: str) -> np.ndarray:
     if arr.dtype.kind not in "biufc":
         raise ParseError(f"{name} must hold numbers, got dtype {arr.dtype}")
     return arr
+
+
+def _index(value, name: str, low: int | None = None) -> int:
+    """``value`` as an int by the rule of ``operator.index``, at least ``low`` when given.
+
+    A float, even an integral one, is a ValueError, so no count is truncated.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and index < low:
+        raise ValueError(f"{name} must be >= {low}, got {index}")
+    return index
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:

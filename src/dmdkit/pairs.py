@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _column_mean, _factor, _numeric_2d, _qr, _working_dtype
+from .linalg import _as_matrix, _column_mean, _factor, _index, _numeric_2d, _qr, _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -143,14 +143,13 @@ def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | 
     """
     mat = snapshot_matrix(z)
     total = mat.shape[1]
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    stride = _index(stride, "stride", 1)
     max_count = (total - 2) // stride + 1 if total >= 2 else 0
     if max_count < 1:
         raise DimensionError(
             f"series of {total} snapshots has no room for stride {stride}"
         )
-    m = max_count if count is None else int(count)
+    m = max_count if count is None else _index(count, "count")
     if m < 1 or m > max_count:
         raise DimensionError(
             f"count {m} outside 1..{max_count} for {total} snapshots at stride {stride}"
@@ -165,6 +164,10 @@ def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> S
     Each run is an (n, count_j) snapshot matrix with count_j >= 2; the
     state dimension n must agree across runs, which share the timestep.
     """
+    try:
+        runs = iter(runs)
+    except TypeError:
+        raise DimensionError(f"runs must be a sequence of trajectories, not {runs!r}") from None
     trajectories = [snapshot_matrix(t, f"trajectory {j}") for j, t in enumerate(runs)]
     if not trajectories:
         raise DimensionError("no trajectories given")
@@ -189,8 +192,7 @@ def embed_sequence(z, depth: int) -> np.ndarray:
     n * depth.
     """
     mat = snapshot_matrix(z)
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
+    depth = _index(depth, "depth", 1)
     total = mat.shape[1]
     if total - depth + 1 < 2:
         raise DimensionError(
@@ -289,7 +291,7 @@ def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:
     column count shrinks by depth - 1. depth=1 returns the input
     unchanged.
     """
-    if depth == 1:
+    if _index(depth, "depth") == 1:
         return pairs
     return pairs_from_sequence(embed_sequence(_series(pairs), depth), dt=pairs.dt)
 

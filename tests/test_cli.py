@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmdkit import linalg
-from dmdkit.cli import main, read_matrix, write_complex_matrix, write_real_matrix
-from dmdkit.dmd import exact_dmd
+from dmdkit.cli import _write_eigenvalue_table, main, read_matrix, write_complex_matrix
+from dmdkit.cli import write_real_matrix
+from dmdkit.dmd import exact_dmd, exact_dmd_qr, exact_dmd_sequential, projected_dmd, spectrum
 from dmdkit.errors import ParseError
-from dmdkit.pairs import pairs_from_strided, pairs_from_trajectories
+from dmdkit.pairs import pairs_from_sequence, pairs_from_strided, pairs_from_trajectories
 
 
 def _read_table(path):
@@ -223,6 +224,15 @@ def _series_csv(tmp_path):
     return src
 
 
+def _wide_or_tall_csv(tmp_path, series):
+    """The README's two-timescale series (8 x 60), or a tall random-linear one (40 x 12)."""
+    src = str(tmp_path / "z.csv")
+    main(["gen", "--output", src, *(
+        ["--kind", "two-timescale", "--steps", "60", "--seed", "5", "--dim", "8"]
+        if series == "wide" else ["--kind", "random-linear", "--dim", "40", "--steps", "12"])])
+    return src
+
+
 class TestDmdCommand:
     def test_end_to_end_files_and_values(self, tmp_path):
         src = _series_csv(tmp_path)
@@ -358,10 +368,7 @@ class TestPairingReadFromData:
     def test_stride_one_pairs_write_the_sequential_bytes(self, tmp_path, series, argv):
         # The pairs own C-ordered copies of x and y, so the layout of the
         # strided gather reaches no product and no mean, wide or tall.
-        src = str(tmp_path / "z.csv")
-        main(["gen", "--output", src, *(
-            ["--kind", "two-timescale", "--steps", "60", "--seed", "5", "--dim", "8"]
-            if series == "wide" else ["--kind", "random-linear", "--dim", "40", "--steps", "12"])])
+        src = _wide_or_tall_csv(tmp_path, series)
         seq, strided = tmp_path / "seq", tmp_path / "strided"
         assert main([*argv, "--input", src, "--output-dir", str(seq)]) == 0
         assert main([*argv, "--input", src, "--output-dir", str(strided),
@@ -398,6 +405,8 @@ class TestPairingReadFromData:
     @pytest.mark.parametrize("argv", [
         ["dmd", "--pairing", "multi-run", "--input", "{a}", "--input", "{b}",
          "--delay", "2"],
+        ["dmd", "--pairing", "multi-run", "--input", "{a}", "--input", "{b}",
+         "--algorithm", "sequential"],
         ["dmd", "--pairing", "strided", "--stride", "2", "--input", "{z}",
          "--scaling", "amplitude-qr"],
         ["dmd", "--input", "{z}", "--delay", "0"],
@@ -416,6 +425,27 @@ class TestPairingReadFromData:
         argv = [arg.format(**paths) for arg in argv]
         assert main(argv + ["--output-dir", str(tmp_path / "out")]) == 6
         assert "error[domain]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algorithm", ["exact", "projected", "qr", "sequential"])
+    @pytest.mark.parametrize("series", ["wide", "tall"])
+    def test_each_algorithm_writes_the_library_routes_bytes(self, tmp_path, series, algorithm):
+        src = _wide_or_tall_csv(tmp_path, series)
+        out, lib = tmp_path / "out", tmp_path / "lib"
+        assert main(["dmd", "--input", src, "--output-dir", str(out),
+                     "--algorithm", algorithm]) == 0
+        z = read_matrix(src)
+        route = {"exact": exact_dmd, "projected": projected_dmd, "qr": exact_dmd_qr}
+        dec = (exact_dmd_sequential(z) if algorithm == "sequential"
+               else route[algorithm](pairs_from_sequence(z)))
+        points = spectrum(dec)
+        columns = {name: [getattr(pt, name) for pt in points]
+                   for name in ("frequency", "growth_continuous", "mode_norm", "weighted_norm")}
+        lib.mkdir()
+        _write_eigenvalue_table(str(lib / "eigenvalues.csv"), dec.eigenvalues, columns)
+        write_complex_matrix(str(lib / "modes.csv"), dec.modes,
+                             header=[f"mode_{j + 1}" for j in range(dec.n_modes)])
+        for name in ("eigenvalues.csv", "modes.csv"):
+            assert (out / name).read_bytes() == (lib / name).read_bytes(), name
 
     def test_strided_pairs_match_the_library(self, tmp_path):
         src = _series_csv(tmp_path)

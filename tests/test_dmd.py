@@ -286,7 +286,7 @@ class TestSequentialAlgorithm:
             z[:, -1] = z[:, 2:-1] @ np.arange(1.0, 5.0)
         pairs = self._one_series_pairs(build, z)
         for kwargs in ({}, {"rtol": 1e-3, "include_zero_modes": True}):
-            got = dmd_module._sequential(pairs, **kwargs)
+            got = dmd_module._decompose("sequential", pairs, **kwargs)
             want = exact_dmd_sequential(_series(pairs), **kwargs)
             assert _same_bytes(got, want)
 
@@ -294,7 +294,7 @@ class TestSequentialAlgorithm:
         # Strided pairs hold column-major copies, which BLAS multiplies
         # with another rounding than the row-major series it rebuilds.
         z = np.random.default_rng(25).standard_normal((10, 7))
-        got = dmd_module._sequential(pairs_from_strided(z, 1))
+        got = dmd_module._decompose("sequential", pairs_from_strided(z, 1))
         want = exact_dmd_sequential(z)
         assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=0, atol=1e-14)
         assert np.allclose(got.exact_modes, want.exact_modes, rtol=0, atol=1e-13)

@@ -29,7 +29,7 @@ from dmdkit import (
     subtract_mean,
 )
 from dmdkit import linalg
-from dmdkit.dmd import _sequential, reduced_operator
+from dmdkit.dmd import _decompose, reduced_operator
 from dmdkit.errors import DimensionError, EigensolverError
 from dmdkit.era import _hankel_pair, _realize, _similarity
 from dmdkit.linalg import _norm
@@ -284,7 +284,8 @@ class TestPairsShareOneFactorization:
 
         def chain(pairs):
             return [reduced_operator(pairs(), rtol=1e-4), exact_dmd_qr(pairs()),
-                    _sequential(pairs()), exact_dmd(pairs()), reduced_operator(pairs(), rtol=1e-4)]
+                    _decompose("sequential", pairs()), exact_dmd(pairs()),
+                    reduced_operator(pairs(), rtol=1e-4)]
 
         got, want = chain(lambda: pairs), chain(lambda: pairs_from_sequence(z))
         assert got[0].svd_of_x.rank < got[3].svd_of_x.rank

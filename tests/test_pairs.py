@@ -17,6 +17,7 @@ from dmdkit import (
     subtract_mean,
 )
 from dmdkit.errors import DimensionError, ParseError
+from dmdkit.dmd import _decompose
 from dmdkit.pairs import _series
 
 
@@ -233,6 +234,8 @@ def test_pairs_that_are_not_one_series_are_refused():
             delay_embed(pairs, 2)
         with pytest.raises(ValueError, match="time-ordered"):
             scale_amplitudes(exact_dmd(pairs), pairs)
+        with pytest.raises(ValueError, match="time-ordered"):
+            _decompose("sequential", pairs)
 
 
 def test_subtract_mean_x_mode():

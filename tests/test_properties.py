@@ -9,6 +9,7 @@ import warnings
 from dataclasses import fields
 
 import numpy as np
+import pytest
 import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +20,11 @@ from dmdkit import (
     ParseError,
     SnapshotPairs,
     build_hankel,
+    delay_embed,
     eig_dense,
+    embed_sequence,
     era_dmd_similarity,
+    era_realize,
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
@@ -30,6 +34,8 @@ from dmdkit import (
     markov_parameters,
     pairs_from_arrays,
     pairs_from_sequence,
+    pairs_from_strided,
+    pairs_from_trajectories,
     projected_dmd,
     propagate,
     reconstruct,
@@ -636,3 +642,43 @@ def test_hostile_input_is_refused_with_a_message(data):
     if dec.n_modes:
         coefficients = data.draw(hostile((dec.n_modes,)))
         _refused_or_finite(lambda: propagate(dec, coefficients, 1))
+
+
+_Z = np.random.default_rng(3).standard_normal((3, 12))
+_IMPULSE = markov_from_blocks(0.5 ** np.arange(8.0))
+_MODEL = (0.5 * np.eye(2), np.ones((2, 1)), np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: pairs_from_strided(_Z, 1.5), ValueError, "stride must be an integer"),
+    (lambda: pairs_from_strided(_Z, 1, count=2.5), ValueError, "count must be an integer"),
+    (lambda: markov_parameters(*_MODEL, count=3.0), ValueError, "count must be an integer"),
+    (lambda: markov_parameters(*_MODEL, count=3, stride=1.5), ValueError, "stride must be"),
+    (lambda: markov_from_blocks(0.5 ** np.arange(8.0), stride=1.5), ValueError, "stride must"),
+    (lambda: markov_from_blocks(0.5 ** np.arange(8.0), count=2.5), ValueError, "count must"),
+    (lambda: embed_sequence(_Z, 1.5), ValueError, "depth must be an integer"),
+    (lambda: delay_embed(pairs_from_sequence(_Z), 1.5), ValueError, "depth must be an integer"),
+    (lambda: build_hankel(_IMPULSE, m_o=1.5), ValueError, "m_o must be an integer"),
+    (lambda: build_hankel(_IMPULSE, m_c=1.5), ValueError, "m_c must be an integer"),
+    (lambda: era_realize(*build_hankel(_IMPULSE), 1.5, 1, 1), ValueError, "order must be an"),
+    (lambda: era_realize(*build_hankel(_IMPULSE), None, 1.5, 1), ValueError, "p must be an"),
+    (lambda: era_realize(*build_hankel(_IMPULSE), None, 1, 1.5), ValueError, "q must be an"),
+    (lambda: markov_parameters(2.0, 1, 1, count=3), DimensionError, "square matrix"),
+    (lambda: pairs_from_trajectories(5), DimensionError, "sequence of trajectories"),
+], ids=[
+    "stride", "strided count", "markov count", "markov stride", "blocks stride", "blocks count",
+    "embed depth", "delay depth", "m_o", "m_c", "order", "p", "q", "scalar a", "scalar runs",
+])
+def test_integer_arguments_and_scalars_are_refused_with_a_type(call, error, message):
+    """Every integer argument passes one rule, operator.index: a float,
+    even an integral one, is refused, never truncated or left to numpy
+    to fail on; a scalar where a matrix or a sequence belongs is a
+    DimensionError."""
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_numpy_integers_pass_the_integer_rule():
+    assert np.array_equal(pairs_from_strided(_Z, np.int64(2), count=np.int32(3)).x,
+                          pairs_from_strided(_Z, 2, count=3).x)
+    assert embed_sequence(_Z, np.int64(3)).shape == (9, 10)
