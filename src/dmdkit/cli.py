@@ -24,15 +24,14 @@ Exit codes
     (inconsistent request the library rejected, including nan/inf
     input values, a result that overflows float64, a non-finite --dt
     or --m-weight, a nan --rank-rtol, --rank-atol or --zero-tol, a
-    --stride or --delay below 1, and pairs that are not one time series
-    where --delay, --algorithm sequential or an amplitude scaling needs
-    one), 1 unexpected error.
+    --stride, --delay, --p or --q below 1, and pairs that are not one
+    time series where --delay, --algorithm sequential or an amplitude
+    scaling needs one), 1 unexpected error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -49,9 +48,8 @@ from .errors import (
     ParseError,
     RankZeroError,
 )
-from .linalg import eig_dense
+from .linalg import _index, eig_dense
 from .pairs import (
-    _require_series,
     delay_embed,
     pairs_from_arrays,
     pairs_from_sequence,
@@ -281,14 +279,12 @@ def _run_check(config: argparse.Namespace) -> None:
         f"linearly_consistent: {'yes' if report.consistent else 'no'}",
         f"consistency_tol: {_fmt(report.tol)}",
     ]
-    if not report.consistent:
-        with contextlib.suppress(ValueError):  # --delay needs pairs in one time series
-            _require_series(pairs)
-            lines.append(
-                "hint: no linear map sends each x_k to y_k; part of y falls outside "
-                "what x can predict. Stacking consecutive snapshots usually repairs "
-                "this; try --delay 2."
-            )
+    if not report.consistent and pairs._is_series:  # --delay needs pairs in one time series
+        lines.append(
+            "hint: no linear map sends each x_k to y_k; part of y falls outside "
+            "what x can predict. Stacking consecutive snapshots usually repairs "
+            "this; try --delay 2."
+        )
     for ln in lines:
         print(ln)
     os.makedirs(config.output_dir, exist_ok=True)
@@ -298,10 +294,8 @@ def _run_check(config: argparse.Namespace) -> None:
 def _run_era(config: argparse.Namespace) -> None:
     if len(config.inputs) != 1:
         raise ConfigError("era takes exactly one --input (Markov CSV)")
-    if config.p < 1 or config.q < 1:
-        raise ConfigError("--p and --q must be >= 1")
     raw = read_matrix(config.inputs[0], config.header)
-    q, p = config.q, config.p
+    q, p = _index(config.q, "q", 1), _index(config.p, "p", 1)
     if q * p == 1 and raw.shape[0] > 1 and raw.shape[1] == 1:
         raw = raw.T  # scalar sequence written one value per line
     if raw.shape[0] != q * p:

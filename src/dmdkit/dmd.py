@@ -16,9 +16,10 @@ All four are one computation, :func:`_decompose`, from the pairs on:
 build the reduced operator and, for QR and sequential, the complement
 c, compress A to a small matrix, eigendecompose it once, drop the zero
 modes, fix each mode's scale, phase and order on the small
-eigenvectors, and lift the exact modes. The routes only choose the
-compression basis (u, or the joint basis q = [u c]) and how the exact
-modes are lifted, which keeps the four-way agreement a real check.
+eigenvectors, and store the exact modes as one basis times small
+vectors. The routes only choose the compression basis (u, or the joint
+basis q = [u c]) and the exact modes' basis (b = y v / sigma, or q),
+which keeps the four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. A tall time series (more states than
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _divide, _held_in, _index, _norm, _svd_threshold
+from .linalg import ReducedSvd, _held_in, _index, _norm, _svd_threshold
 from .linalg import eig_dense, reduced_svd
 from .pairs import SnapshotPairs, _frame, _Frame, _require_series, pairs_from_sequence
 
@@ -62,6 +63,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 # linear_consistency calls a pairing consistent when its relative
 # defect is at most this.
@@ -134,19 +136,15 @@ class DmdDecomposition:
       QR and sequential);
     * ``exact_modes``, eigenvectors of A, from ``exact_vectors`` in the
       coordinates of ``exact_basis``. For QR and sequential that basis
-      is q, the mode is q v, and the scale is already in v
-      (``exact_divisors`` and ``exact_order`` are None). For exact and
-      projected it is b = y v / sigma, and the mode is b w over its entry
-      of ``exact_divisors``, then scaled: lambda, or 1 for a null-space
-      mode built from its image b w, or 0 for one whose image vanished,
-      which is u w instead. Those two arrays keep the small
-      eigensolver's column order, and ``exact_order`` gathers the modes
-      into mode order last, since the rounding of a matrix product can
-      depend on where a column sits.
+      is q and the mode q v. For exact and projected it is
+      b = y v / sigma, and the vector is t = w / lambda, or w for a
+      null-space mode built from its image b w; where that image
+      vanished, the basis is [b u] and the mode is u w instead. When a
+      kept lambda lies below the float64 normal range, b carries an
+      exact power of two and t is divided by it too, so t stays finite.
 
-    Every other per-mode array is index-paired with the eigenvalues,
-    ``exact_norms`` too: the exact route's mode 2-norms (else None), for
-    :attr:`mode_norms`. On QR and sequential, ``svd_of_x.u`` is a view of q.
+    Every per-mode array is index-paired with the eigenvalues. On QR
+    and sequential, ``svd_of_x.u`` is a view of q.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -159,7 +157,10 @@ class DmdDecomposition:
     Modes are ordered by descending mode 2-norm, ties broken by
     descending |lambda| then ascending arg(lambda), which keeps
     conjugate pairs adjacent. The norm used is that of the algorithm's
-    own modes (see :attr:`modes`); on the exact route, ``exact_norms``.
+    own modes (see :attr:`modes`), read where an orthonormal basis keeps
+    it up to roundoff: ||v|| on QR and sequential, ||w|| on projected,
+    and ||b t|| in the pairs' coordinates on exact. :attr:`mode_norms`
+    are the norms of the lifted modes themselves.
     """
 
     eigenvalues: np.ndarray
@@ -168,9 +169,6 @@ class DmdDecomposition:
     left_basis: np.ndarray
     exact_basis: np.ndarray
     exact_vectors: np.ndarray
-    exact_divisors: np.ndarray | None
-    exact_order: np.ndarray | None
-    exact_norms: np.ndarray | None
     algorithm: str
     scaling: str
     svd_of_x: ReducedSvd
@@ -181,12 +179,7 @@ class DmdDecomposition:
     @property
     def exact_modes(self) -> np.ndarray:
         """Eigenvectors of A, lifted on each read."""
-        if self.exact_order is None:
-            return _lift(self.exact_basis, self.exact_vectors)
-        modes, source, follower = _image_modes(
-            self.exact_basis, self.svd_of_x.u, self.exact_vectors, self.exact_divisors
-        )
-        return _spread(modes, source[self.exact_order], follower[self.exact_order])
+        return _lift(self.exact_basis, self.exact_vectors)
 
     @property
     def projected_modes(self) -> np.ndarray:
@@ -205,8 +198,8 @@ class DmdDecomposition:
 
     @property
     def mode_norms(self) -> np.ndarray:
-        """2-norms of :attr:`modes`, lifted only where none are kept."""
-        return np.linalg.norm(self.modes, axis=0) if self.exact_norms is None else self.exact_norms
+        """2-norms of :attr:`modes`, lifted on each read."""
+        return np.linalg.norm(self.modes, axis=0)
 
     @property
     def n_modes(self) -> int:
@@ -254,48 +247,30 @@ def _followers(conj_next: np.ndarray) -> np.ndarray:
     return follower
 
 
-def _leads(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``basis @ w`` for the columns of complex ``w`` a lift computes.
+def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
 
-    For a real basis, the real and imaginary parts of w are lifted
-    together by one real product with the interleaved float64 view of
-    w, and a column directly followed by its exact conjugate is lifted
-    once: the follower's image is the conjugate of its lead's. A
-    complex basis lifts every column. Returns the lifted leads, the
-    index of each column's lead among them, and the follower mask.
+    The real and imaginary parts of w are lifted together by one real
+    product with the interleaved float64 view of w, and a column
+    directly followed by its exact conjugate is lifted once: the
+    follower's image is the conjugate of its lead's. So conjugate
+    eigenvectors of real data give exactly conjugate modes, and a
+    conjugate pair costs the same real product as one real column pair.
     """
-    k = w.shape[1]
-    if np.iscomplexobj(basis):
-        return basis @ w, np.arange(k), np.zeros(k, dtype=bool)
-    conj_next = np.zeros(k, dtype=bool)
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return basis @ w
+    if w.ndim == 1:
+        return _lift(basis, w[:, None])[:, 0]
+    conj_next = np.zeros(w.shape[1], dtype=bool)
     conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
         w[:, 1:] == w[:, :-1].conj(), axis=0
     )
     follower = _followers(conj_next)
     lead = np.ascontiguousarray(w[:, ~follower])
     lifted = (basis @ lead.view(np.float64)).view(np.complex128)
-    return lifted, np.cumsum(~follower) - 1, follower
-
-
-def _spread(leads: np.ndarray, source: np.ndarray, follower: np.ndarray) -> np.ndarray:
-    """Columns ``leads[:, source]``, conjugated where ``follower``."""
-    out = np.take(leads, source, axis=1)
+    out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
     out.imag *= np.where(follower, -1.0, 1.0)
     return out
-
-
-def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
-
-    Conjugate eigenvectors of real data give exactly conjugate modes,
-    and a conjugate pair costs the same real product as one real column
-    pair (see :func:`_leads`).
-    """
-    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
-        return basis @ w
-    if w.ndim == 1:
-        return _lift(basis, w[:, None])[:, 0]
-    return _spread(*_leads(basis, w))
 
 
 def _exact_zero_mode(op: ReducedOperator, w: np.ndarray) -> bool:
@@ -312,24 +287,33 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray) -> bool:
     return bool(np.linalg.norm(bw) > max(op._frame.shape) * _EPS * (_norm(y) * _norm(t)))
 
 
-def _image_modes(
-    b: np.ndarray, u: np.ndarray, vectors: np.ndarray, divisors: np.ndarray
+def _image_basis(
+    op: ReducedOperator, vectors: np.ndarray, lam: np.ndarray, cut: float, scale: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact modes b w / d, times :func:`_column_scale`, of the lead columns.
+    """The exact modes as b t: the basis at states, t, and the basis in coordinates.
 
-    A divisor d of 0 gives u w instead. A follower's w and d are the
-    exact conjugates of its lead's (see :func:`_leads`), and so is its
-    mode: the lead index and follower mask are returned for
-    :func:`_spread` to rebuild every column with.
+    t = w s / lambda for the reduced vectors w and their scales s; a
+    null-space mode (|lambda| <= cut) is its image, t = w s, or, where
+    that image vanishes (:func:`_exact_zero_mode`), u w s under the
+    basis [b u]. Below the normal range, w / lambda would overflow, so
+    an exact power of two moves from t into b: the one that brings the
+    least lambda into range, since b's own scale cannot when lambda is
+    far below b, as for A = diag(1, 1e-310).
     """
-    lifted, source, follower = _leads(b, vectors)
-    lead_vectors, lead_divisors = vectors[:, ~follower], divisors[~follower]
-    vanished = lead_divisors == 0
-    modes = _divide(lifted, np.where(vanished, 1.0, lead_divisors))
-    for j in np.flatnonzero(vanished):
-        modes[:, j] = _lift(u, lead_vectors[:, j])
-    modes *= _column_scale(vectors)[~follower]
-    return modes, source, follower
+    divisors = lam.copy()
+    for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
+        divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j]) else 0.0
+    vanished = divisors == 0
+    b, b_c = op.b, op._b
+    least = np.min(np.abs(divisors[~vanished]), initial=np.inf)
+    if least < _TINY:  # the power of two 2^k that lifts the least |lambda| to [tiny, 2 tiny)
+        unit = np.ldexp(2.0, -np.frexp(least / _TINY)[1])
+        b, b_c, divisors = b * unit, b_c * unit, divisors * unit
+    t = vectors * (scale / np.where(vanished, 1.0, divisors))
+    if vanished.any():
+        t = np.concatenate([np.where(vanished, 0.0, t), np.where(vanished, t, 0.0)])
+        b, b_c = np.hstack([b, op.svd_of_x.u]), np.hstack([b_c, op._svd.u])
+    return b, t, b_c
 
 
 # Entries whose magnitudes agree to this relative tolerance tie for the
@@ -381,13 +365,12 @@ def _decompose(
     the data's own shape and at hypot(sigma_1(x), |y|_F or |z_m|), an
     upper bound of the joined matrix's sigma_1. All of it runs in the
     pairs' coordinates; only the bases are lifted. Zero modes are
-    dropped, and scale and order fixed, on the small vectors only. How
-    the exact modes are lifted on read is the one thing the routes
-    differ in (see :class:`DmdDecomposition`). For the exact and
-    projected routes, null-space modes are settled here by
-    :func:`_exact_zero_mode`, and the exact route lifts its modes once,
-    transiently, for the norms that fix their order and that
-    :func:`spectrum` reads.
+    dropped, and scale and order fixed, on the small vectors only. Every
+    route stores its exact modes as one basis times mode-ordered
+    vectors; the basis is the one thing the routes differ in (q, or b
+    from :func:`_image_basis`; see :class:`DmdDecomposition`). The
+    exact route orders on ||b t|| taken in the pairs' coordinates, so
+    no mode is lifted to states here.
     """
     if algorithm == "sequential":
         _require_series(pairs)
@@ -421,28 +404,21 @@ def _decompose(
     reduced = vectors if complement is None else _lift(uq, vectors)  # u* exact
     scale = _column_scale(reduced)
     norms = np.linalg.norm(vectors, axis=0) * np.abs(scale)  # q v and u w: norms of v and w
-    if not joint:
-        divisors = lam.copy()
-        for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
-            divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j]) else 0.0
-        if algorithm == "exact":  # the norms of exact_modes, bit for bit, so spectrum need not lift
-            modes, source, follower = _image_modes(op.b, basis, vectors, divisors)
-            if modes.shape[1] == 1:  # numpy sums one column pairwise, but a wider array row by row
-                modes, source = _spread(modes, source, follower), np.arange(len(lam))
-            norms = np.linalg.norm(modes, axis=0)[source]
+    if joint:
+        exact_basis, exact = basis, vectors * scale
+    else:
+        exact_basis, exact, coordinates = _image_basis(op, vectors, lam, cut, scale)
+        if algorithm == "exact":  # q is orthonormal, so b t keeps the modes' norms in coordinates
+            norms = np.linalg.norm(_lift(coordinates, exact), axis=0)
 
     order = _canonical_order(lam, norms)
-    scale = scale[order]
     return DmdDecomposition(
         eigenvalues=lam[order],
-        reduced_vectors=np.take(reduced, order, axis=1) * scale,
+        reduced_vectors=np.take(reduced, order, axis=1) * scale[order],
         left_vectors=eig.left_vectors[:, kept[order]],
         left_basis=basis,
-        exact_basis=basis if joint else op.b,
-        exact_vectors=vectors[:, order] * scale if joint else vectors,
-        exact_divisors=None if joint else divisors,
-        exact_order=None if joint else order,
-        exact_norms=norms[order] if algorithm == "exact" else None,
+        exact_basis=exact_basis,
+        exact_vectors=exact[:, order],
         algorithm=algorithm,
         scaling="unit-norm",
         svd_of_x=replace(op.svd_of_x, u=basis[:, : u.shape[1]]),  # a view of q on QR, sequential

@@ -193,8 +193,8 @@ def era_realize(
 def _realize(hankel: SnapshotPairs, order, p, q, rtol, atol) -> EraRealization:
     """:func:`era_realize` on the pairs (H, H'), factoring H once per pairs object."""
     h, hs = hankel.x, hankel.y
-    p, q = _index(p, "p"), _index(q, "q")
-    if p < 1 or q < 1 or h.shape[0] % q or h.shape[1] % p:
+    p, q = _index(p, "p", 1), _index(q, "q", 1)
+    if h.shape[0] % q or h.shape[1] % p:
         raise DimensionError(
             f"H of shape {h.shape} is not divisible into {q}-by-{p} blocks"
         )

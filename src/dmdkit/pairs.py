@@ -8,9 +8,11 @@ finer series, several independent runs, or pre-matched matrices. The
 strided rule also picks the Markov blocks of :mod:`dmdkit.era`.
 
 Pairs carry no record of how they were built. Whether they form one
-time-ordered series, y_k = x_{k+1}, is read from the data itself
-whenever it matters (delay embedding, amplitude fitting), so pairs from
-any constructor, centred or not, qualify when their columns line up.
+time-ordered series, y_k = x_{k+1}, is read from the data itself, once
+per pairs object, by every caller it matters to (delay embedding,
+amplitude fitting, the sequential route, the QR of a tall series), so
+pairs from any constructor, centred or not, qualify when their columns
+line up.
 
 Pairs own read-only, C-ordered copies of x and y. Their data never
 changes, so the coordinates every library call on them runs in, and
@@ -111,6 +113,11 @@ class SnapshotPairs:
         if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be finite and positive when given")
 
+    @cached_property
+    def _is_series(self) -> bool:
+        """Whether each image is the next pre-image, x[:, 1:] == y[:, :-1] exactly; compared once."""
+        return bool(np.array_equal(self.x[:, 1:], self.y[:, :-1]))
+
     @property
     def n_states(self) -> int:
         return self.x.shape[0]
@@ -163,7 +170,10 @@ def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> S
 
     Each run is an (n, count_j) snapshot matrix with count_j >= 2; the
     state dimension n must agree across runs, which share the timestep.
+    One array is refused, not read as runs of its rows: pass ``[z]``.
     """
+    if isinstance(runs, np.ndarray):
+        raise DimensionError("runs must be a list of trajectories, not one array; pass [z]")
     try:
         runs = iter(runs)
     except TypeError:
@@ -208,7 +218,7 @@ def _require_series(pairs: SnapshotPairs) -> None:
     Pairs form one series when each image is the next pre-image,
     x[:, 1:] == y[:, :-1] exactly.
     """
-    if not np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
+    if not pairs._is_series:
         raise ValueError(
             "pairs are not one time-ordered series: x[:, 1:] differs from y[:, :-1]"
         )
@@ -270,7 +280,7 @@ def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
     if pairs._coordinates is not None:
         return pairs._coordinates
     n, m = pairs.x.shape
-    if compress and n > m + 1 and np.array_equal(pairs.x[:, 1:], pairs.y[:, :-1]):
+    if compress and n > m + 1 and pairs._is_series:
         z = np.empty((n, m + 1), _working_dtype(pairs.x, pairs.y), order="F")  # LAPACK's layout
         z[:, :-1], z[:, -1] = pairs.x, pairs.y[:, -1]
         if not np.all(np.isfinite(z)):

@@ -412,6 +412,8 @@ class TestPairingReadFromData:
         ["dmd", "--input", "{z}", "--delay", "0"],
         ["dmd", "--pairing", "strided", "--stride", "0", "--input", "{z}"],
         ["era", "--input", "{impulse}", "--stride", "0"],
+        ["era", "--input", "{impulse}", "--p", "0"],
+        ["era", "--input", "{impulse}", "--q", "0"],
     ])
     def test_pairs_the_library_refuses_are_a_domain_error(self, tmp_path, capsys, argv):
         src = _series_csv(tmp_path)

@@ -415,6 +415,16 @@ class TestConsistency:
         assert rep.consistent and rep.defect == 0.0 and rep.residual == 0.0
 
 
+def test_subnormal_eigenvalue_beside_a_unit_one_keeps_finite_modes():
+    # w / lambda overflows for lambda = 1e-310 unless b takes a power
+    # of two that brings lambda, not b, into the normal range.
+    pairs = pairs_from_arrays(np.eye(2), np.diag([1.0, 1e-310]))
+    dec = exact_dmd(pairs, zero_tol=0.0)
+    assert np.array_equal(dec.eigenvalues, [1.0, 1e-310])
+    assert np.allclose(dec.exact_modes, np.eye(2), rtol=0, atol=1e-15)
+    assert np.array_equal(dec.mode_norms, [1.0, 1.0])
+
+
 class TestModeExpansion:
     def test_reconstruct_then_propagate_reproduces_trajectory(self):
         rng = np.random.default_rng(31)
@@ -458,10 +468,10 @@ class TestSpectrum:
             assert abs(p.growth_discrete - 1.0) < 1e-12
 
     def test_mode_norms_of_a_lone_conjugate_pair_are_the_modes_norms(self):
-        """The exact route keeps its mode norms. numpy sums a lone column
-        pairwise but each column of a wider array row by row, so a family
-        of one conjugate pair, lifted as one lead column, must still give
-        the bits of its two-column modes, at any number of states."""
+        """numpy sums a lone column pairwise but each column of a wider
+        array row by row, so a family of one conjugate pair, lifted as one
+        lead column, must still give the bits of its two-column modes, at
+        any number of states."""
         theta = np.arange(30) * np.pi / 5
         basis, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((100, 2)))
         z = basis @ (0.99 ** np.arange(30) * np.vstack([np.cos(theta), np.sin(theta)]))

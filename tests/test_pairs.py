@@ -8,6 +8,8 @@ from dmdkit import (
     delay_embed,
     embed_sequence,
     exact_dmd,
+    exact_dmd_qr,
+    exact_dmd_sequential,
     pairs_from_arrays,
     pairs_from_sequence,
     pairs_from_strided,
@@ -160,10 +162,27 @@ def test_pairs_from_trajectories_concatenates_runs():
 @pytest.mark.parametrize("runs, message", [
     ([np.ones((3, 5)), np.ones((3, 1))], "trajectory 1 needs at least 2 snapshots"),
     ([np.ones((3, 5)), np.ones((2, 4))], "trajectory 1 has 2 states, expected 3"),
+    (np.arange(15.0).reshape(3, 5), r"a list of trajectories, not one array; pass \[z\]"),
 ])
 def test_pairs_from_trajectories_rejects_mismatched_runs(runs, message):
     with pytest.raises(DimensionError, match=message):
         pairs_from_trajectories(runs)
+
+
+def test_one_pairs_object_compares_its_columns_once(monkeypatch):
+    """Whether pairs form one series is answered once per pairs object,
+    for the sequential route's check and the QR of a tall series alike."""
+    calls = []
+    array_equal = np.array_equal
+    monkeypatch.setattr(np, "array_equal", lambda a, b: calls.append(1) or array_equal(a, b))
+    z = np.random.default_rng(0).standard_normal((20, 6))
+    exact_dmd_sequential(z)
+    assert len(calls) == 1
+    pairs = pairs_from_sequence(z)
+    for dec in (exact_dmd(pairs), exact_dmd_qr(pairs), _decompose("sequential", pairs)):
+        scale_amplitudes(dec, pairs)
+    delay_embed(pairs, 2)
+    assert len(calls) == 2
 
 
 def test_embed_sequence_stacks_consecutive_snapshots():

@@ -376,7 +376,6 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
     ):
         phi = dec.exact_modes
         assert phi.tobytes() == dec.exact_modes.tobytes(), dec.algorithm
-        assert (dec.exact_norms is not None) == (dec.algorithm == "exact")
         rescaled = [dec]
         for rescale in (lambda d: scale_amplitudes(d, pairs, method="gram"), scale_biorthogonal):
             try:
@@ -555,15 +554,22 @@ def test_hankel_pair_matches_a_block_loop_for_every_split(case):
 
 @PROFILE
 @given(sequences(), st.booleans(), st.booleans())
-def test_exact_route_is_sorted_on_the_norms_it_reports(z, keep_zero, complex_data):
-    """The canonical order of the exact route keys on the very norms
-    stored as ``exact_norms`` (and printed as ``mode_norm``), so sorting
-    the decomposition again leaves it in place."""
+def test_every_route_is_sorted_on_the_norms_it_reports(z, keep_zero, complex_data):
+    """Each route orders its modes on norms taken in its own coordinates,
+    which agree with the norms of the lifted modes (printed as
+    ``mode_norm``) to their 12-digit keys, so sorting the decomposition
+    again on ``mode_norms`` leaves it in place."""
     if complex_data:
         z = z * np.exp(1j * np.arange(z.shape[0]))[:, None]
-    dec = exact_dmd(pairs_from_sequence(z), include_zero_modes=keep_zero)
-    order = _canonical_order(dec.eigenvalues, dec.exact_norms)
-    assert np.array_equal(order, np.arange(dec.n_modes))
+    pairs = pairs_from_sequence(z)
+    for dec in (
+        exact_dmd(pairs, include_zero_modes=keep_zero),
+        projected_dmd(pairs, include_zero_modes=keep_zero),
+        exact_dmd_qr(pairs, include_zero_modes=keep_zero),
+        exact_dmd_sequential(z, include_zero_modes=keep_zero),
+    ):
+        order = _canonical_order(dec.eigenvalues, dec.mode_norms)
+        assert np.array_equal(order, np.arange(dec.n_modes)), dec.algorithm
 
 
 _HOSTILE = ("3-D", "str", "nan", "inf", "empty", "ragged")
