@@ -342,10 +342,10 @@ def _run_lim(config: argparse.Namespace) -> None:
         pairs, force=config.force, rtol=config.rank_rtol, atol=config.rank_atol
     )
 
-    os.makedirs(config.output_dir, exist_ok=True)
-    write_complex_matrix(os.path.join(config.output_dir, "green.csv"), model.green)
     lam = _sorted_eigenvalues(model.green)
     frequency, growth = zip(*(_rates(v, config.dt) for v in lam))
+    os.makedirs(config.output_dir, exist_ok=True)
+    write_complex_matrix(os.path.join(config.output_dir, "green.csv"), model.green)
     _write_eigenvalue_table(
         os.path.join(config.output_dir, "eigenvalues.csv"), lam,
         {"frequency": frequency, "growth_continuous": growth},

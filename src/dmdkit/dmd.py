@@ -25,8 +25,9 @@ The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. A tall time series (more states than
 snapshots) is first compressed by one thin QR of its snapshots,
 [x, z_m] = Q R, and every route runs on the coordinates x = R[:, :-1]
-and y = R[:, 1:], which span range([x y]); only u, b and the joint
-basis [u c] are lifted back through Q. Other pairs are their own
+and y = R[:, 1:], which span range([x y]). The reduced operator is held
+in them, and one product with Q lifts a decomposition's bases, [u b] or
+[u c] (:meth:`~dmdkit.pairs._Frame.lift`). Other pairs are their own
 coordinates, with no lift. Rank rules are taken at the data's own
 shape either way. Real snapshots stay real up to the small
 eigenproblem, and each lift of complex reduced vectors back to state
@@ -74,21 +75,32 @@ _CONSISTENCY_TOL = 1e-10
 class ReducedOperator:
     """The operator A compressed to the rank-r column space of x.
 
+    Everything but a_tilde is held once, in the pairs' coordinates (see
+    :func:`~dmdkit.pairs._frame`), and lifted to states on each read.
+
     Attributes:
         a_tilde: (r, r) matrix u* A u = u* b.
         svd_of_x: the truncated SVD the compression is built on.
         b: (n, r) matrix y v / sigma; A = b u* without ever forming A.
 
-    a_tilde and b are float64 when x and y are real.
+    a_tilde, b and u are float64 when x and y are real.
     """
 
     a_tilde: np.ndarray
-    svd_of_x: ReducedSvd
-    b: np.ndarray
-    # The pairs' coordinates, with svd_of_x and b in them, for the routes to run on.
-    _frame: _Frame | None = field(default=None, repr=False, compare=False)
-    _svd: ReducedSvd | None = field(default=None, repr=False, compare=False)
-    _b: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # The pairs' coordinates, and svd_of_x and b in them, for the routes to run on.
+    _frame: _Frame = field(repr=False, compare=False)
+    _svd: ReducedSvd = field(repr=False, compare=False)
+    _b: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def svd_of_x(self) -> ReducedSvd:
+        """The SVD of x with u lifted to states on each read."""
+        return replace(self._svd, u=self._frame.lift(self._svd.u))
+
+    @property
+    def b(self) -> np.ndarray:
+        """y v / sigma lifted to states on each read."""
+        return self._frame.lift(self._b)
 
 
 def reduced_operator(
@@ -99,8 +111,8 @@ def reduced_operator(
 ) -> ReducedOperator:
     """Compress A = y x^+ to the numerical column space of x, factored once per pairs object.
 
-    The work runs in the coordinates of the pairs (see :func:`~dmdkit.pairs._frame`),
-    and one product lifts u and b to states.
+    The work runs in the coordinates of the pairs (see :func:`~dmdkit.pairs._frame`);
+    nothing is lifted to states until it is read.
     """
     frame = _frame(pairs)
     if rtol is None and atol is None:  # the default cut, at the data's own shape
@@ -108,15 +120,7 @@ def reduced_operator(
     with _held_in(frame):
         svd = reduced_svd(frame.x, rtol=rtol, atol=atol)
     b = (frame.y @ svd.v) / svd.sigma[None, :]
-    u_states, b_states = frame.lift(svd.u, b)
-    return ReducedOperator(
-        a_tilde=svd.u.conj().T @ b,
-        svd_of_x=replace(svd, u=u_states),
-        b=b_states,
-        _frame=frame,
-        _svd=svd,
-        _b=b,
-    )
+    return ReducedOperator(a_tilde=svd.u.conj().T @ b, _frame=frame, _svd=svd, _b=b)
 
 
 @dataclass(frozen=True)
@@ -143,8 +147,8 @@ class DmdDecomposition:
       kept lambda lies below the float64 normal range, b carries an
       exact power of two and t is divided by it too, so t stays finite.
 
-    Every per-mode array is index-paired with the eigenvalues. On QR
-    and sequential, ``svd_of_x.u`` is a view of q.
+    Every per-mode array is index-paired with the eigenvalues, and
+    ``svd_of_x.u`` is a view of the one lifted basis, q or [u b].
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -289,8 +293,8 @@ def _exact_zero_mode(op: ReducedOperator, w: np.ndarray) -> bool:
 
 def _image_basis(
     op: ReducedOperator, vectors: np.ndarray, lam: np.ndarray, cut: float, scale: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The exact modes as b t: the basis at states, t, and the basis in coordinates.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exact modes as b t, with the basis b in the pairs' coordinates: b and t.
 
     t = w s / lambda for the reduced vectors w and their scales s; a
     null-space mode (|lambda| <= cut) is its image, t = w s, or, where
@@ -304,16 +308,16 @@ def _image_basis(
     for j in np.flatnonzero(np.abs(lam) <= cut):  # never set unless include_zero_modes
         divisors[j] = 1.0 if _exact_zero_mode(op, vectors[:, j]) else 0.0
     vanished = divisors == 0
-    b, b_c = op.b, op._b
+    b = op._b
     least = np.min(np.abs(divisors[~vanished]), initial=np.inf)
     if least < _TINY:  # the power of two 2^k that lifts the least |lambda| to [tiny, 2 tiny)
         unit = np.ldexp(2.0, -np.frexp(least / _TINY)[1])
-        b, b_c, divisors = b * unit, b_c * unit, divisors * unit
+        b, divisors = b * unit, divisors * unit
     t = vectors * (scale / np.where(vanished, 1.0, divisors))
     if vanished.any():
         t = np.concatenate([np.where(vanished, 0.0, t), np.where(vanished, t, 0.0)])
-        b, b_c = np.hstack([b, op.svd_of_x.u]), np.hstack([b_c, op._svd.u])
-    return b, t, b_c
+        b = np.hstack([b, op._svd.u])
+    return b, t
 
 
 # Entries whose magnitudes agree to this relative tolerance tie for the
@@ -364,20 +368,20 @@ def _decompose(
     residual is orthogonal to u to roundoff, and the rule is taken at
     the data's own shape and at hypot(sigma_1(x), |y|_F or |z_m|), an
     upper bound of the joined matrix's sigma_1. All of it runs in the
-    pairs' coordinates; only the bases are lifted. Zero modes are
-    dropped, and scale and order fixed, on the small vectors only. Every
-    route stores its exact modes as one basis times mode-ordered
-    vectors; the basis is the one thing the routes differ in (q, or b
-    from :func:`_image_basis`; see :class:`DmdDecomposition`). The
-    exact route orders on ||b t|| taken in the pairs' coordinates, so
-    no mode is lifted to states here.
+    pairs' coordinates. Zero modes are dropped, and scale and order
+    fixed, on the small vectors only. Every route stores its exact modes
+    as one basis times mode-ordered vectors; the basis is the one thing
+    the routes differ in (q, or b from :func:`_image_basis`; see
+    :class:`DmdDecomposition`). The exact route orders on ||b t|| taken
+    in the pairs' coordinates. The bases reach states by one product
+    with the frame, of [u c] or of [u b], and no mode is lifted here.
     """
     if algorithm == "sequential":
         _require_series(pairs)
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
-    u, frame = op._svd.u, op._frame
+    u, r, frame = op._svd.u, op._svd.rank, op._frame
     joint = algorithm in ("qr", "sequential")
-    basis, matrix, complement = op.svd_of_x.u, op.a_tilde, None
+    matrix, complement = op.a_tilde, None
     if joint:
         ys = frame.y if algorithm == "qr" else frame.y[:, -1:]  # all of y, or z_m
         rest = ys - u @ (u.conj().T @ ys)
@@ -391,9 +395,7 @@ def _decompose(
             complement = rest / _norm(rest)
     if complement is not None:
         # q = [u c] and A = b u*, so q* A q = [a_tilde; c* b] [I, u* c].
-        lifted = complement if frame.q is None else frame.q @ complement
-        basis = np.concatenate([basis, lifted], axis=1)
-        uq = np.concatenate([np.eye(u.shape[1]), u.conj().T @ complement], axis=1)
+        uq = np.concatenate([np.eye(r), u.conj().T @ complement], axis=1)
         matrix = np.concatenate([op.a_tilde, complement.conj().T @ op._b]) @ uq
     eig = eig_dense(matrix)
     cut = _zero_tol(matrix, zero_tol)
@@ -405,23 +407,26 @@ def _decompose(
     scale = _column_scale(reduced)
     norms = np.linalg.norm(vectors, axis=0) * np.abs(scale)  # q v and u w: norms of v and w
     if joint:
-        exact_basis, exact = basis, vectors * scale
+        extra, exact = complement, vectors * scale
     else:
-        exact_basis, exact, coordinates = _image_basis(op, vectors, lam, cut, scale)
+        extra, exact = _image_basis(op, vectors, lam, cut, scale)
         if algorithm == "exact":  # q is orthonormal, so b t keeps the modes' norms in coordinates
-            norms = np.linalg.norm(_lift(coordinates, exact), axis=0)
+            norms = np.linalg.norm(_lift(extra, exact), axis=0)
+    # The one lift to states: of [u c] on the joint routes, of [u b] on the others.
+    basis = frame.lift(u if extra is None else np.concatenate([u, extra], axis=1))
+    basis.flags.writeable = False
 
     order = _canonical_order(lam, norms)
     return DmdDecomposition(
         eigenvalues=lam[order],
         reduced_vectors=np.take(reduced, order, axis=1) * scale[order],
         left_vectors=eig.left_vectors[:, kept[order]],
-        left_basis=basis,
-        exact_basis=exact_basis,
+        left_basis=basis if joint else basis[:, :r],
+        exact_basis=basis if joint else basis[:, r:],
         exact_vectors=exact[:, order],
         algorithm=algorithm,
         scaling="unit-norm",
-        svd_of_x=replace(op.svd_of_x, u=basis[:, : u.shape[1]]),  # a view of q on QR, sequential
+        svd_of_x=replace(op._svd, u=basis[:, :r]),
         warnings=_defect_warning(eig.vectors),
     )
 
@@ -532,7 +537,7 @@ def linear_consistency(
     op = reduced_operator(pairs, rtol=rtol, atol=atol)
     v, y = op._svd.v, op._frame.y
     if not y.any():
-        return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op.svd_of_x.rank)
+        return ConsistencyReport(True, 0.0, 0.0, _CONSISTENCY_TOL, op._svd.rank)
     y_norm = _norm(y)
     defect = _norm(y - (y @ v) @ v.conj().T) / y_norm
     residual = _norm(op._b @ (op._svd.u.conj().T @ op._frame.x) - y) / y_norm
@@ -541,7 +546,7 @@ def linear_consistency(
         defect=defect,
         residual=residual,
         tol=_CONSISTENCY_TOL,
-        rank=op.svd_of_x.rank,
+        rank=op._svd.rank,
     )
 
 
@@ -589,8 +594,8 @@ def propagate(dec: DmdDecomposition, coefficients, steps: int) -> np.ndarray:
 class SpectrumPoint:
     """Frequency/growth view of one eigenvalue.
 
-    ``growth_continuous`` is -inf for a zero eigenvalue (log of zero
-    magnitude); the frequency of a zero eigenvalue is reported as 0.
+    ``growth_continuous`` is -inf for a zero eigenvalue, whose frequency
+    is 0; every other rate is finite, as :func:`spectrum` refuses overflow.
     """
 
     eigenvalue: complex
@@ -602,12 +607,15 @@ class SpectrumPoint:
 
 
 def _rates(lam: complex, dt: float) -> tuple[float, float]:
-    """Frequency (cycles per unit time) and continuous growth rate of one
-    eigenvalue advancing ``dt`` per step; a zero eigenvalue gives (0, -inf)."""
-    mag = abs(lam)
-    if mag == 0.0:
+    """Frequency (cycles per unit time) and continuous growth rate of one eigenvalue
+    advancing ``dt`` per step; a zero eigenvalue gives (0, -inf), and a nonzero one
+    whose rates overflow float64 raises FloatingPointError."""
+    if lam == 0:
         return 0.0, float("-inf")
-    return float(np.angle(lam)) / (2.0 * np.pi * dt), float(np.log(mag)) / dt
+    rates = float(np.angle(lam)) / (2.0 * np.pi * dt), float(np.log(abs(lam))) / dt
+    if not np.all(np.isfinite(rates)):
+        raise FloatingPointError(f"overflow: the rates of {lam} at dt = {dt} exceed float64")
+    return rates
 
 
 def spectrum(dec: DmdDecomposition, dt: float = 1.0, m_weight: float = 0) -> list[SpectrumPoint]:

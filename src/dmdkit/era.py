@@ -277,7 +277,7 @@ def _similarity(hankel: SnapshotPairs, rtol, atol) -> EraDmdReport:
     perm = match_eigenvalues(era_eigs.values, dmd_lam)
     mismatch = float(np.max(np.abs(era_eigs.values - dmd_lam[perm])))
 
-    w = np.sqrt(op.svd_of_x.sigma[: real.order])[:, None] * era_eigs.vectors
+    w = np.sqrt(op._svd.sigma[: real.order])[:, None] * era_eigs.vectors
     w /= np.linalg.norm(w, axis=0, keepdims=True)
     return EraDmdReport(
         era_eigenvalues=era_eigs.values,

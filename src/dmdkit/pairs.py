@@ -17,8 +17,9 @@ line up.
 Pairs own read-only, C-ordered copies of x and y. Their data never
 changes, so the coordinates every library call on them runs in, and
 the factors of those coordinates, are built once, on first use, and
-held as plain attributes (see :func:`_frame`); pairs from any
-constructor share one memory layout, so they give the same bits.
+held as plain attributes (see :func:`_frame`); nothing lifted from the
+coordinates back to states is held. Pairs from any constructor share
+one memory layout, so they give the same bits.
 
 Columns are snapshots everywhere in this package.
 """
@@ -236,35 +237,23 @@ class _Frame:
 
     ``q`` is None where x and y are their own coordinates. ``shape`` is
     the data's own (n, m), at which rank rules are taken. The pairs'
-    data never changes, so the factors of x and the lifts are held with
-    no key.
+    data never changes, so the factors of x are held with no key; what
+    is computed from them stays in coordinates until :meth:`lift`.
     """
 
     q: np.ndarray | None
     x: np.ndarray
     y: np.ndarray
     shape: tuple[int, int]
-    lifts: dict = field(default_factory=dict)  # rank r -> q @ [u b], see lift
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The SVD of ``self.x``, factored on first use (see :func:`~dmdkit.linalg._held_in`)."""
         return _factor(self.x)
 
-    def lift(self, u: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``q @ u`` and ``q @ b`` by one read-only product; u and b themselves if q is None.
-
-        u and b are the rank-r basis of x's factors and y v / sigma, both
-        fixed by r, so the product is held per rank.
-        """
-        if self.q is None:
-            return u, b
-        r = u.shape[1]
-        if r not in self.lifts:
-            lifted = self.q @ np.concatenate([u, b], axis=1)
-            lifted.flags.writeable = False
-            self.lifts[r] = lifted[:, :r], lifted[:, r:]
-        return self.lifts[r]
+    def lift(self, a: np.ndarray) -> np.ndarray:
+        """The states ``q @ a`` of the coordinates a, by one product; a itself if q is None."""
+        return a if self.q is None else self.q @ a
 
 
 def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:

@@ -753,6 +753,18 @@ class TestExitCodes:
         assert main([command, "--input", str(src), "--output-dir", str(tmp_path / "out")]) == 6
         assert "overflow" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dmd", "lim"])
+    def test_a_rate_that_overflows_is_a_domain_error(self, tmp_path, capsys, command):
+        # At --dt 1e-320 the growth rate log|lambda| / dt leaves the float64
+        # range; it used to be written as -inf with exit 0.
+        src = str(tmp_path / "z.csv")
+        write_real_matrix(src, 0.5 ** np.arange(8.0))
+        out = tmp_path / "out"
+        assert main([command, "--input", src, "--output-dir", str(out), "--dt", "1e-320"]) == 6
+        assert "error[domain]: overflow" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([command, "--input", src, "--output-dir", str(out), "--dt", "1e-300"]) == 0
+
     @pytest.mark.parametrize("argv", [["dmd", "--mean", "x"], ["dmd", "--mean", "pooled"],
                                       ["lim"], ["lim", "--force"]], ids=" ".join)
     def test_centring_data_whose_sum_overflows_succeeds(self, tmp_path, capsys, argv):

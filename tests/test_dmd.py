@@ -25,6 +25,7 @@ from dmdkit import (
     subtract_mean,
 )
 from dmdkit import dmd as dmd_module
+from dmdkit import pairs as pairs_module
 from dmdkit.errors import DimensionError
 from dmdkit.pairs import _series
 
@@ -496,6 +497,18 @@ class TestSpectrum:
         assert pt.growth_continuous == float("-inf")
         assert spectrum(dec, m_weight=2)[0].weighted_norm == 0.0
         assert spectrum(dec, m_weight=-1)[0].weighted_norm == float("inf")
+        tiny = spectrum(dec, dt=1e-320)[0]  # no rate of lambda = 0 overflows
+        assert (tiny.frequency, tiny.growth_continuous) == (0.0, float("-inf"))
+
+    @pytest.mark.parametrize("lam", [0.245, -0.245, 4.0, 1j])
+    def test_a_rate_that_overflows_float64_is_refused(self, lam):
+        # At dt = 1e-320, log|lambda| / dt or arg(lambda) / (2 pi dt) leaves
+        # the float64 range; it used to come back as an infinite rate.
+        dec = exact_dmd(pairs_from_sequence(lam ** np.arange(4.0)))
+        with pytest.raises(FloatingPointError, match="overflow"):
+            spectrum(dec, dt=1e-320)
+        pt = spectrum(dec, dt=1e-300)[0]
+        assert np.isfinite(pt.frequency) and np.isfinite(pt.growth_continuous)
 
     def test_points_follow_decomposition_order(self):
         rng = np.random.default_rng(35)
@@ -530,16 +543,43 @@ def test_defective_operator_sets_warning():
     assert any("defective" in w for w in dec.warnings)
 
 
-def test_reduced_operator_contract():
+@pytest.mark.parametrize("compressed", [False, True], ids=["own coordinates", "compressed series"])
+def test_reduced_operator_contract(compressed):
+    # On a tall series the operator is held in the coordinates of the QR
+    # of its snapshots; u and b read at state size all the same.
     rng = np.random.default_rng(38)
     x = rng.standard_normal((6, 4))
     m = rng.standard_normal((6, 6))
-    pairs = pairs_from_arrays(x, m @ x)
+    if compressed:  # z_{k+1} = m z_k: 5 snapshots in 6 states
+        z = np.column_stack([np.linalg.matrix_power(m, k) @ x[:, 0] for k in range(5)])
+        pairs = pairs_from_sequence(z)
+    else:
+        pairs = pairs_from_arrays(x, m @ x)
     op = reduced_operator(pairs)
+    assert (pairs._coordinates.q is not None) == compressed
     u = op.svd_of_x.u
+    assert u.shape == op.b.shape == (6, 4)
+    assert op.a_tilde.dtype == op.b.dtype == u.dtype == np.float64
+    assert np.abs(u.T @ u - np.eye(4)).max() < 1e-12
     want = u.conj().T @ m @ u
     assert np.linalg.norm(op.a_tilde - want) < 1e-10
     assert np.linalg.norm(op.b - m @ u) < 1e-10
+
+
+def test_linear_consistency_on_a_compressed_series_lifts_nothing(monkeypatch):
+    calls = []
+    lift = pairs_module._Frame.lift
+
+    def counted(*args, **kwargs):  # whatever the signature of the lift
+        calls.append(args)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(pairs_module._Frame, "lift", counted)
+    pairs = pairs_from_sequence(np.random.default_rng(41).standard_normal((60, 9)))
+    report = linear_consistency(pairs)
+    assert pairs._coordinates.q is not None  # the compressed path ran
+    assert report.rank == 8 and report.consistent
+    assert calls == []
 
 
 @pytest.mark.parametrize("delta, in_range", [(1e-14, True), (1e-10, False)])

@@ -276,8 +276,8 @@ class TestPairsShareOneFactorization:
             assert _same_bytes(shared, fresh)
 
     def test_lifts_on_shared_coordinates_equal_fresh_ones_bit_for_bit(self):
-        # Different cuts lift u and b at different ranks, each held by the
-        # pairs' coordinates; the QR and sequential complements are lifted apart.
+        # Different cuts give u and b at different ranks, held in the pairs'
+        # coordinates and lifted on each read; each route lifts its bases once.
         rng = np.random.default_rng(14)
         z = rng.standard_normal((40, 9)) * np.logspace(0, -8, 9)
         pairs = pairs_from_sequence(z)
