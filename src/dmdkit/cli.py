@@ -40,7 +40,7 @@ import numpy as np
 from . import era as era_mod
 from . import generators as gen_mod
 from . import lim as lim_mod
-from .dmd import _decompose, _followers, _rates, linear_consistency, spectrum
+from .dmd import _decompose, _rates, linear_consistency, spectrum
 from .errors import (
     ConfigError,
     DimensionError,
@@ -48,7 +48,7 @@ from .errors import (
     ParseError,
     RankZeroError,
 )
-from .linalg import _index, eig_dense
+from .linalg import _followers, _index, eig_dense
 from .pairs import (
     delay_embed,
     pairs_from_arrays,
@@ -240,8 +240,8 @@ def _run_dmd(config: argparse.Namespace) -> None:
         f"scaling: {dec.scaling}",
         f"state_dimension: {pairs.n_states}",
         f"pair_count: {pairs.n_pairs}",
-        f"rank: {dec.svd_of_x.rank}",
-        f"rank_truncation_tol: {_fmt(dec.svd_of_x.truncation_tol)}",
+        f"rank: {dec._svd.rank}",
+        f"rank_truncation_tol: {_fmt(dec._svd.truncation_tol)}",
         f"rank_rtol: {_tol_str(config.rank_rtol)}",
         f"rank_atol: {_tol_str(config.rank_atol)}",
         f"zero_tol: {_tol_str(config.zero_tol)}",

@@ -25,13 +25,13 @@ The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. A tall time series (more states than
 snapshots) is first compressed by one thin QR of its snapshots,
 [x, z_m] = Q R, and every route runs on the coordinates x = R[:, :-1]
-and y = R[:, 1:], which span range([x y]). The reduced operator is held
-in them, and one product with Q lifts a decomposition's bases, [u b] or
-[u c] (:meth:`~dmdkit.pairs._Frame.lift`). Other pairs are their own
-coordinates, with no lift. Rank rules are taken at the data's own
-shape either way. Real snapshots stay real up to the small
-eigenproblem, and each lift of complex reduced vectors back to state
-space is a product with a real matrix (:func:`_lift`).
+and y = R[:, 1:], which span range([x y]). The reduced operator and
+every decomposition are held in them, and a mode or basis is lifted
+only when read, by one product with Q (:meth:`~dmdkit.pairs._Frame.lift`):
+Q (b t), never (Q b) t. Other pairs are their own coordinates, with no
+lift. Rank rules are taken at the data's own shape either way. Real
+snapshots stay real up to the small eigenproblem, and each lift of
+complex vectors is a product with a real matrix (``linalg._lift``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionError, RankZeroError
-from .linalg import ReducedSvd, _held_in, _index, _norm, _svd_threshold
+from .linalg import ReducedSvd, _held_in, _index, _lift, _norm, _svd_threshold
 from .linalg import eig_dense, reduced_svd
 from .pairs import SnapshotPairs, _frame, _Frame, _require_series, pairs_from_sequence
 
@@ -147,8 +147,9 @@ class DmdDecomposition:
       kept lambda lies below the float64 normal range, b carries an
       exact power of two and t is divided by it too, so t stays finite.
 
-    Every per-mode array is index-paired with the eigenvalues, and
-    ``svd_of_x.u`` is a view of the one lifted basis, q or [u b].
+    Every per-mode array is index-paired with the eigenvalues. The bases
+    and ``svd_of_x.u``, views of one basis q or [u b], are held in the
+    pairs' coordinates and lifted on each read.
 
     Each mode is scaled so that its reduced vector w has unit norm and a
     fixed phase: the entry of largest magnitude is real and positive.
@@ -170,30 +171,45 @@ class DmdDecomposition:
     eigenvalues: np.ndarray
     reduced_vectors: np.ndarray
     left_vectors: np.ndarray
-    left_basis: np.ndarray
-    exact_basis: np.ndarray
     exact_vectors: np.ndarray
     algorithm: str
     scaling: str
-    svd_of_x: ReducedSvd
+    # The SVD of x and both bases, in the pairs' coordinates, and the frame that lifts them,
+    # stripped of x and y where those are the states, so it keeps no pairs' data alive.
+    _frame: _Frame = field(repr=False, compare=False)
+    _svd: ReducedSvd = field(repr=False, compare=False)
+    _left: np.ndarray = field(repr=False, compare=False)
+    _exact: np.ndarray = field(repr=False, compare=False)
     amplitudes: np.ndarray | None = None
     amplitude_residual: float | None = None
     warnings: tuple[str, ...] = ()
 
+    svd_of_x = ReducedOperator.svd_of_x
+
+    @property
+    def left_basis(self) -> np.ndarray:
+        """u, or q on the joint routes, lifted on each read."""
+        return self._frame.lift(self._left)
+
+    @property
+    def exact_basis(self) -> np.ndarray:
+        """b, or q on the joint routes, lifted on each read."""
+        return self._frame.lift(self._exact)
+
     @property
     def exact_modes(self) -> np.ndarray:
         """Eigenvectors of A, lifted on each read."""
-        return _lift(self.exact_basis, self.exact_vectors)
+        return self._frame.lift(_lift(self._exact, self.exact_vectors))
 
     @property
     def projected_modes(self) -> np.ndarray:
         """u w for each reduced vector w, lifted on each read."""
-        return _lift(self.svd_of_x.u, self.reduced_vectors)
+        return self._frame.lift(_lift(self._svd.u, self.reduced_vectors))
 
     @property
     def adjoint_modes(self) -> np.ndarray:
         """left_basis @ left_vectors, lifted on each read."""
-        return _lift(self.left_basis, self.left_vectors)
+        return self._frame.lift(_lift(self._left, self.left_vectors))
 
     @property
     def modes(self) -> np.ndarray:
@@ -241,40 +257,6 @@ def _defect_warning(vectors: np.ndarray) -> tuple[str, ...]:
             "mode-coefficient computations may be inaccurate".format(cond),
         )
     return ()
-
-
-def _followers(conj_next: np.ndarray) -> np.ndarray:
-    """Column j + 1 follows j if ``conj_next[j]`` and j leads: a, conj(a), a, ... alternate."""
-    follower = np.zeros_like(conj_next)
-    for j in np.flatnonzero(conj_next):
-        follower[j + 1] = not follower[j]
-    return follower
-
-
-def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
-
-    The real and imaginary parts of w are lifted together by one real
-    product with the interleaved float64 view of w, and a column
-    directly followed by its exact conjugate is lifted once: the
-    follower's image is the conjugate of its lead's. So conjugate
-    eigenvectors of real data give exactly conjugate modes, and a
-    conjugate pair costs the same real product as one real column pair.
-    """
-    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
-        return basis @ w
-    if w.ndim == 1:
-        return _lift(basis, w[:, None])[:, 0]
-    conj_next = np.zeros(w.shape[1], dtype=bool)
-    conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
-        w[:, 1:] == w[:, :-1].conj(), axis=0
-    )
-    follower = _followers(conj_next)
-    lead = np.ascontiguousarray(w[:, ~follower])
-    lifted = (basis @ lead.view(np.float64)).view(np.complex128)
-    out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
-    out.imag *= np.where(follower, -1.0, 1.0)
-    return out
 
 
 def _exact_zero_mode(op: ReducedOperator, w: np.ndarray) -> bool:
@@ -373,8 +355,8 @@ def _decompose(
     as one basis times mode-ordered vectors; the basis is the one thing
     the routes differ in (q, or b from :func:`_image_basis`; see
     :class:`DmdDecomposition`). The exact route orders on ||b t|| taken
-    in the pairs' coordinates. The bases reach states by one product
-    with the frame, of [u c] or of [u b], and no mode is lifted here.
+    in the pairs' coordinates. Nothing is lifted here: the decomposition
+    keeps q or [u b] in the coordinates, with the frame that lifts them.
     """
     if algorithm == "sequential":
         _require_series(pairs)
@@ -412,8 +394,7 @@ def _decompose(
         extra, exact = _image_basis(op, vectors, lam, cut, scale)
         if algorithm == "exact":  # q is orthonormal, so b t keeps the modes' norms in coordinates
             norms = np.linalg.norm(_lift(extra, exact), axis=0)
-    # The one lift to states: of [u c] on the joint routes, of [u b] on the others.
-    basis = frame.lift(u if extra is None else np.concatenate([u, extra], axis=1))
+    basis = u if extra is None else np.concatenate([u, extra], axis=1)  # q, or [u b]
     basis.flags.writeable = False
 
     order = _canonical_order(lam, norms)
@@ -421,12 +402,13 @@ def _decompose(
         eigenvalues=lam[order],
         reduced_vectors=np.take(reduced, order, axis=1) * scale[order],
         left_vectors=eig.left_vectors[:, kept[order]],
-        left_basis=basis if joint else basis[:, :r],
-        exact_basis=basis if joint else basis[:, r:],
         exact_vectors=exact[:, order],
         algorithm=algorithm,
         scaling="unit-norm",
-        svd_of_x=replace(op._svd, u=basis[:, :r]),
+        _frame=frame if frame.q is not None else replace(frame, x=None, y=None),
+        _svd=replace(op._svd, u=basis[:, :r]),
+        _left=basis if joint else basis[:, :r],
+        _exact=basis if joint else basis[:, r:],
         warnings=_defect_warning(eig.vectors),
     )
 

@@ -132,6 +132,40 @@ def _divide(a: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return a / (lam * 2.0**64) * 2.0**64
 
 
+def _followers(conj_next: np.ndarray) -> np.ndarray:
+    """Column j + 1 follows j if ``conj_next[j]`` and j leads: a, conj(a), a, ... alternate."""
+    follower = np.zeros_like(conj_next)
+    for j in np.flatnonzero(conj_next):
+        follower[j + 1] = not follower[j]
+    return follower
+
+
+def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+
+    The real and imaginary parts of w are lifted together by one real
+    product with the interleaved float64 view of w, and a column
+    directly followed by its exact conjugate is lifted once: the
+    follower's image is the conjugate of its lead's. So conjugate
+    eigenvectors of real data give exactly conjugate modes, and a
+    conjugate pair costs the same real product as one real column pair.
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return basis @ w
+    if w.ndim == 1:
+        return _lift(basis, w[:, None])[:, 0]
+    conj_next = np.zeros(w.shape[1], dtype=bool)
+    conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
+        w[:, 1:] == w[:, :-1].conj(), axis=0
+    )
+    follower = _followers(conj_next)
+    lead = np.ascontiguousarray(w[:, ~follower])
+    lifted = (basis @ lead.view(np.float64)).view(np.complex128)
+    out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
+    out.imag *= np.where(follower, -1.0, 1.0)
+    return out
+
+
 @dataclass(frozen=True)
 class ReducedSvd:
     """Rank-truncated SVD ``x ~= u @ diag(sigma) @ v.conj().T``.

@@ -26,13 +26,13 @@ Columns are snapshots everywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _column_mean, _factor, _index, _numeric_2d, _qr, _working_dtype
+from .linalg import _as_matrix, _column_mean, _factor, _index, _lift, _numeric_2d, _qr, _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -97,12 +97,15 @@ class SnapshotPairs:
     x: np.ndarray
     y: np.ndarray
     dt: float | None = None
+    # True where x and y are C-ordered arrays just built here, which the pairs take uncopied.
+    _built: InitVar[bool] = False
     # The coordinates of x and y (see _frame), shared by the library calls on these pairs.
     _coordinates: _Frame | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _built: bool):
         for name in ("x", "y"):
-            own = np.array(_numeric_2d(getattr(self, name), name), order="C")
+            arr = _numeric_2d(getattr(self, name), name)
+            own = np.asarray(arr, order="C") if _built else np.array(arr, order="C")
             own.flags.writeable = False
             object.__setattr__(self, name, own.view())  # numpy lets only the owner be made writeable
         if self.x.shape != self.y.shape:
@@ -162,8 +165,8 @@ def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | 
         raise DimensionError(
             f"count {m} outside 1..{max_count} for {total} snapshots at stride {stride}"
         )
-    anchors = stride * np.arange(m)
-    return SnapshotPairs(x=mat[:, anchors], y=mat[:, anchors + 1], dt=dt)
+    last = stride * (m - 1) + 1  # one past the last anchor
+    return SnapshotPairs(x=mat[:, :last:stride], y=mat[:, 1 : last + 1 : stride], dt=dt)
 
 
 def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> SnapshotPairs:
@@ -188,11 +191,9 @@ def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> S
             raise DimensionError(f"trajectory {j} needs at least 2 snapshots")
         if traj.shape[0] != n:
             raise DimensionError(f"trajectory {j} has {traj.shape[0]} states, expected {n}")
-    return SnapshotPairs(
-        x=np.concatenate([traj[:, :-1] for traj in trajectories], axis=1),
-        y=np.concatenate([traj[:, 1:] for traj in trajectories], axis=1),
-        dt=dt,
-    )
+    x = np.concatenate([traj[:, :-1] for traj in trajectories], axis=1)
+    y = np.concatenate([traj[:, 1:] for traj in trajectories], axis=1)
+    return SnapshotPairs(x, y, dt, _built=True)
 
 
 def embed_sequence(z, depth: int) -> np.ndarray:
@@ -252,8 +253,8 @@ class _Frame:
         return _factor(self.x)
 
     def lift(self, a: np.ndarray) -> np.ndarray:
-        """The states ``q @ a`` of the coordinates a, by one product; a itself if q is None."""
-        return a if self.q is None else self.q @ a
+        """The states ``q @ a`` of the coordinates a, by one ``_lift``; a itself if q is None."""
+        return a if self.q is None else _lift(self.q, a)
 
 
 def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
@@ -308,7 +309,5 @@ def subtract_mean(pairs: SnapshotPairs, mode: str = "x-mean") -> tuple[SnapshotP
         mean = _column_mean(np.concatenate([pairs.x, pairs.y], axis=1))
     else:
         raise ValueError(f"unknown mean mode {mode!r}")
-    return (
-        replace(pairs, x=pairs.x - mean[:, None], y=pairs.y - mean[:, None]),
-        mean,
-    )
+    centred = SnapshotPairs(pairs.x - mean[:, None], pairs.y - mean[:, None], pairs.dt, _built=True)
+    return centred, mean

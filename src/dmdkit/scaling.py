@@ -20,7 +20,7 @@ import numpy as np
 
 from .dmd import DmdDecomposition
 from .errors import DimensionError
-from .linalg import _divide, _norm, _unit_scale
+from .linalg import _divide, _lift, _norm, _unit_scale
 from .pairs import SnapshotPairs, _frame, _require_series
 
 __all__ = ["scale_biorthogonal", "scale_amplitudes"]
@@ -75,8 +75,9 @@ def scale_amplitudes(
     nonzero. To expand the first pre-image x_0 instead, use
     :func:`~dmdkit.dmd.reconstruct`.
 
-    Method "qr" solves the least-squares problem on the mode matrix
-    with numpy's lstsq (LAPACK gelsd, SVD-based; the name is historical).
+    Method "qr" solves the least-squares problem on the mode matrix in
+    the pairs' coordinates with numpy's lstsq (LAPACK gelsd, SVD-based;
+    the name is historical), and takes its residual at state size.
     Method "gram" uses the normal equations built from y* y in the pair
     space, never forming the state-size mode matrix; that route squares
     the conditioning of the modes, which is exactly what makes it a
@@ -99,25 +100,27 @@ def scale_amplitudes(
             "with reconstruct"
         )
 
-    target = pairs.y[:, 0]
-    n = dec.left_basis.shape[0]
+    target, frame = pairs.y[:, 0], dec._frame
+    n = frame.shape[0]
     if target.shape[0] != n:
         raise DimensionError(
             f"reference snapshot has {target.shape[0]} entries, modes have {n}"
         )
 
     if method == "qr":
-        phi = dec.exact_modes
-        t, _, _, _ = np.linalg.lstsq(phi, target, rcond=None)
+        # q* y_0 fitted in q's coordinates; the residual keeps y_0 outside range(q).
+        phi = _lift(dec._exact, dec.exact_vectors)
+        coords = target if frame.q is None else frame.q.conj().T @ target
+        t, _, _, _ = np.linalg.lstsq(phi, coords, rcond=None)
         d = _divide(t, lam)
-        residual = _norm(phi @ (lam * d) - target)
+        residual = _norm(frame.lift(phi @ (lam * d)) - target)
     else:
         # Normal equations in pair space: phi diag(lam) = y (v / sigma) w,
         # so only m-by-k factors and y* y ever appear, y in the pairs'
         # coordinates, which keep y* y and every norm. y, t_mat and the
         # target each carry their own power of two; the solution is scaled
         # back once, by ldexp, as their quotient may lie outside float64.
-        svd = dec.svd_of_x
+        svd = dec._svd
         if pairs.y.shape != (n, svd.v.shape[0]):
             raise DimensionError(
                 "pairs do not match the decomposition (expected y of shape "

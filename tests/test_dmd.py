@@ -582,6 +582,27 @@ def test_linear_consistency_on_a_compressed_series_lifts_nothing(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("route", [exact_dmd, projected_dmd, exact_dmd_qr, exact_dmd_sequential])
+def test_a_decomposition_of_a_compressed_series_lifts_nothing_until_read(monkeypatch, route):
+    # The bases stay in the pairs' coordinates; each read of a state-size
+    # family or basis lifts it by one call of the frame's lift.
+    calls = []
+    lift = pairs_module._Frame.lift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(pairs_module._Frame, "lift", counted)
+    z = np.random.default_rng(42).standard_normal((60, 9))
+    pairs = pairs_from_sequence(z)
+    dec = route(z) if route is exact_dmd_sequential else route(pairs)
+    assert calls == []
+    assert pairs_module._frame(pairs).q is not None and dec.n_modes == 8  # compressed
+    assert dec.exact_modes.shape == dec.left_basis.shape[:1] + (8,) == (60, 8)
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("delta, in_range", [(1e-14, True), (1e-10, False)])
 def test_a_compressed_series_builds_zero_modes_at_the_shape_of_the_data(delta, in_range):
     # z = [2 e1, e2, e2 / 2 + delta e3] in 200 states: A has lambda = 0 on

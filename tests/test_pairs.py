@@ -1,5 +1,7 @@
 """Tests for snapshot-pair construction and rearrangement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,31 @@ def test_pairs_built_directly_take_array_likes_and_own_read_only_copies():
         assert not np.shares_memory(got, z)
     z[:] = -1.0
     assert own.x[0].tolist() == [0.0, 1.0, 2.0] and own.y[0].tolist() == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("build", [
+    lambda z, runs, pairs: subtract_mean(pairs)[0],
+    lambda z, runs, pairs: subtract_mean(pairs, "pooled-mean")[0],
+    lambda z, runs, pairs: pairs_from_trajectories(runs),
+    lambda z, runs, pairs: pairs_from_strided(z, 2),
+], ids=["x-mean", "pooled-mean", "trajectories", "strided"])
+def test_pairs_built_from_new_arrays_hold_them_uncopied(build):
+    # The constructors that build x and y themselves hand them to the pairs
+    # uncopied, so building costs no more memory than the pairs then hold.
+    z = np.random.default_rng(8).standard_normal((1000, 201))
+    runs = [z[:, :101].copy(), z[:, 101:].copy()]
+    pairs = pairs_from_sequence(z)
+    build(z[:, :4], [r[:, :4] for r in runs], pairs_from_sequence(z[:, :4]))  # first-use costs
+    tracemalloc.start()
+    try:
+        built = build(z, runs, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for a in (built.x, built.y):
+        assert a.flags.c_contiguous and not a.flags.writeable
+        assert not np.shares_memory(a, z) and not any(np.shares_memory(a, r) for r in runs)
+    assert peak <= 1.1 * (built.x.nbytes + built.y.nbytes)
 
 
 @pytest.mark.parametrize("x, y, message", [

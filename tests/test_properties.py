@@ -312,25 +312,28 @@ def sequences(draw):
     return z
 
 
-def _state_size_arrays(dec, n):
-    """The 2-D arrays a decomposition holds, its SVD's included, that
-    have n rows where n exceeds the width of its small space."""
-    if n <= dec.left_basis.shape[1]:
-        return []
-    held = [getattr(dec, f.name) for f in fields(dec)]
-    held += [getattr(dec.svd_of_x, f.name) for f in fields(dec.svd_of_x)]
-    return [a for a in held if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == n]
+def _owner(a):
+    """The array that owns the buffer behind ``a``."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
-def _buffer_bytes(arrays):
-    """Bytes of the distinct buffers behind ``arrays``, views counted once
-    by the whole array that owns them."""
-    owners = {}
-    for a in arrays:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        owners[id(a)] = a
-    return sum(a.nbytes for a in owners.values())
+def _reached(obj):
+    """The arrays ``obj`` reaches through its attributes, dataclasses,
+    tuples and cached properties included, by the arrays owning them."""
+    if isinstance(obj, np.ndarray):
+        return {id(_owner(obj)): _owner(obj)}
+    if isinstance(obj, tuple):
+        items = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = vars(obj).values()
+    else:
+        return {}
+    found = {}
+    for item in items:
+        found.update(_reached(item))
+    return found
 
 
 @PROFILE
@@ -345,14 +348,17 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
     checked only where dividing by lambda loses no more than roundoff. A
     null-space mode built from the image has u* phi = 0 instead.
 
-    No mode family is stored at state size: every state-size array is a
-    basis the decomposition needs anyway, u or q (orthonormal) or
-    b = y v / sigma, and real for real data, where the modes are complex.
+    No mode family is stored at state size. On a compressed (tall) series
+    the bases stay in the pairs' coordinates, so the only state-size
+    buffer a decomposition reaches, through its fields or its frame, is
+    the frame's q. On other pairs every state-size array is a basis the
+    decomposition needs anyway, u or q (orthonormal) or b = y v / sigma,
+    and real for real data, where the modes are complex; each is held
+    once: the joint routes' u is the lead block of q, so they hold
+    n (r + c) entries, and exact and projected hold u and b, n 2r.
     Each read of the exact modes gives the same bits, and for real data
     conjugate eigenvalues carry exactly conjugate exact modes, which the
-    modes.csv writer relies on. Each basis is held once: the joint routes'
-    u is the lead block of q, so they hold n (r + c) entries, and exact
-    and projected hold u and b, n 2r.
+    modes.csv writer relies on.
 
     The spectrum's mode norms are the 2-norms of the route's own modes,
     bit for bit, also after either rescaling (which keep the norms the
@@ -398,12 +404,25 @@ def test_adjoint_modes_are_left_eigenvectors_of_the_explicit_operator(z, keep_ze
         tol = 1e-10 * np.linalg.norm(phi, axis=0)
         assert np.all(gap[far] <= tol[far]), dec.algorithm
 
+        n, frame = z.shape[0], dec._frame
+        bases = (dec._left, dec._exact, *vars(dec._svd).values())
+        state_size = [  # arrays with n rows where n exceeds the width of the small space
+            a for a in bases
+            if isinstance(a, np.ndarray) and a.ndim == 2 and a.shape[0] == n > dec.left_basis.shape[1]
+        ]
+        reached = _reached(dec).values()
         joint = dec.algorithm in ("qr", "sequential")
-        assert not joint or np.shares_memory(u, dec.left_basis), dec.algorithm
         b = (pairs.y @ dec.svd_of_x.v) / dec.svd_of_x.sigma[None, :]
-        state_size = _state_size_arrays(dec, z.shape[0])
         cols = dec.left_basis.shape[1] if joint else 2 * dec.svd_of_x.rank
-        assert _buffer_bytes(state_size) <= z.shape[0] * cols * u.itemsize, dec.algorithm
+        if dec.algorithm != "sequential":  # which runs on pairs of its own
+            assert not any(np.shares_memory(a, pairs.x) or np.shares_memory(a, pairs.y) for a in reached)
+        if frame.q is not None:  # a compressed series: q itself, and nothing else
+            assert dec.algorithm == "sequential" or frame is pairs._coordinates, dec.algorithm
+            big = [id(a) for a in reached if a.ndim == 2 and a.shape[0] == n]
+            assert big == [id(_owner(frame.q))], dec.algorithm
+        else:
+            owners = {id(_owner(a)): _owner(a) for a in state_size}
+            assert sum(a.nbytes for a in owners.values()) <= n * cols * u.itemsize, dec.algorithm
         for held in state_size:
             assert complex_data or held.dtype == np.float64, dec.algorithm
             width = held.shape[1]

@@ -8,9 +8,11 @@ import pytest
 from dmdkit import (
     DmdDecomposition,
     exact_dmd,
+    exact_dmd_qr,
     gen_random_linear,
     pairs_from_arrays,
     pairs_from_sequence,
+    projected_dmd,
     reconstruct,
     scale_amplitudes,
     scale_biorthogonal,
@@ -180,6 +182,38 @@ class TestAmplitudes:
             dec.exact_modes @ (dec.eigenvalues * dec.amplitudes) - z[:, 1]
         )
         assert abs(dec.amplitude_residual - explicit) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("route", [exact_dmd, projected_dmd, exact_dmd_qr])
+    def test_qr_fit_on_a_compressed_series_is_the_state_size_fit(self, kind, route):
+        # On a tall series the fit runs on the (m+1)-row exact modes in the
+        # QR coordinates, against q* y_0. The state-size modes are q times
+        # them, q orthonormal, so both solve one least-squares problem and
+        # differ by roundoff amplified at most by cond(modes)^2: the bound
+        # is 10 eps cond^2 |d|. The residual is taken at state size, so for
+        # the y_0 of other pairs it keeps the part outside range(q).
+        _, z = gen_random_linear(60, 12, 3, spectral_radius=0.95)
+        _, other_z = gen_random_linear(60, 12, 4)
+        if kind == "complex":
+            g = np.random.default_rng(60).standard_normal((2, 60, 60))
+            unitary, _ = np.linalg.qr(g[0] + 1j * g[1])
+            z, other_z = unitary @ z, unitary @ other_z
+        pairs = pairs_from_sequence(z)
+        dec = route(pairs)
+        q = pairs._coordinates.q
+        assert q is not None and q.shape == (60, 12)  # the compressed path ran
+        phi, lam = dec.exact_modes, dec.eigenvalues
+        bound = 10 * np.finfo(float).eps * np.linalg.cond(phi) ** 2
+        for source in (pairs, pairs_from_sequence(other_z)):
+            y0 = source.y[:, 0]
+            got = scale_amplitudes(dec, source, method="qr")
+            want = np.linalg.lstsq(phi, y0, rcond=None)[0] / lam
+            assert np.linalg.norm(got.amplitudes - want) <= bound * np.linalg.norm(want)
+            explicit = np.linalg.norm(phi @ (lam * got.amplitudes) - y0)
+            assert abs(got.amplitude_residual - explicit) <= 1e-13 * np.linalg.norm(y0)
+            outside = np.linalg.norm(y0 - q @ (q.conj().T @ y0))
+            assert got.amplitude_residual >= outside * (1 - 1e-12)
+            assert (outside > 0.1 * np.linalg.norm(y0)) == (source is not pairs)
 
     def test_rejects_unordered_pairs(self):
         rng = np.random.default_rng(5)
