@@ -358,7 +358,7 @@ def _run_lim(config: argparse.Namespace) -> None:
         f"force: {'yes' if config.force else 'no'}",
         f"state_dimension: {pairs.n_states}",
         f"pair_count: {pairs.n_pairs}",
-        f"eof_count: {model.eofs.shape[1]}",
+        f"eof_count: {model.x_hat.shape[0]}",
         f"lag_tau: {_fmt(config.dt)}",
         f"propagator_vs_reduced_operator_max_abs_diff: {_fmt(equiv.max_abs_diff)}",
         f"equivalence_tol: {_fmt(equiv.tol)}",

@@ -23,12 +23,13 @@ which keeps the four-way agreement a real check.
 
 The operator A is never formed at state dimension; everything runs
 through the rank-r SVD of x. A tall time series (more states than
-snapshots) is first compressed by one thin QR of its snapshots,
+snapshots) is first compressed by one Householder QR of its snapshots,
 [x, z_m] = Q R, and every route runs on the coordinates x = R[:, :-1]
 and y = R[:, 1:], which span range([x y]). The reduced operator and
 every decomposition are held in them, and a mode or basis is lifted
 only when read, by one product with Q (:meth:`~dmdkit.pairs._Frame.lift`):
-Q (b t), never (Q b) t. Other pairs are their own coordinates, with no
+Q (b t), never (Q b) t. Q itself is formed from the QR's reflectors
+on the first such read. Other pairs are their own coordinates, with no
 lift. Rank rules are taken at the data's own shape either way. Real
 snapshots stay real up to the small eigenproblem, and each lift of
 complex vectors is a product with a real matrix (``linalg._lift``).
@@ -165,7 +166,7 @@ class DmdDecomposition:
     own modes (see :attr:`modes`), read where an orthonormal basis keeps
     it up to roundoff: ||v|| on QR and sequential, ||w|| on projected,
     and ||b t|| in the pairs' coordinates on exact. :attr:`mode_norms`
-    are the norms of the lifted modes themselves.
+    are the norms of the lifted modes themselves, bit for bit.
     """
 
     eigenvalues: np.ndarray
@@ -212,14 +213,26 @@ class DmdDecomposition:
         return self._frame.lift(_lift(self._left, self.left_vectors))
 
     @property
+    def _family(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis, in the pairs' coordinates, and the vectors of :attr:`modes`."""
+        if self.algorithm == "projected":
+            return self._svd.u, self.reduced_vectors
+        return self._exact, self.exact_vectors
+
+    @property
     def modes(self) -> np.ndarray:
         """The mode family the algorithm itself defines."""
         return self.projected_modes if self.algorithm == "projected" else self.exact_modes
 
     @property
     def mode_norms(self) -> np.ndarray:
-        """2-norms of :attr:`modes`, lifted on each read."""
-        return np.linalg.norm(self.modes, axis=0)
+        """2-norms of :attr:`modes` bit for bit, from the one product that lifts them.
+
+        Each is taken on a lead column of that real product and copied
+        to its conjugate follower, so no state-size complex array is
+        gathered (see :func:`~dmdkit.linalg._lift_norms`).
+        """
+        return self._frame.lift_norms(*self._family)
 
     @property
     def n_modes(self) -> int:
@@ -405,7 +418,7 @@ def _decompose(
         exact_vectors=exact[:, order],
         algorithm=algorithm,
         scaling="unit-norm",
-        _frame=frame if frame.q is not None else replace(frame, x=None, y=None),
+        _frame=frame.detached(),
         _svd=replace(op._svd, u=basis[:, :r]),
         _left=basis if joint else basis[:, :r],
         _exact=basis if joint else basis[:, r:],
@@ -545,20 +558,24 @@ def reconstruct(dec: DmdDecomposition, x) -> Reconstruction:
 
     Solves min_c norm(modes c - x) with ``numpy.linalg.lstsq`` (SVD-based)
     and reports the attained residual; components of x outside the mode
-    span end up in the residual, never hidden.
+    span end up in the residual, never hidden. On a compressed series
+    the fit runs on the modes in the pairs' coordinates against q* x,
+    and the residual is taken at state size, so the part of x outside
+    range(q) shows in it too.
     """
     vec = np.asarray(x, dtype=np.complex128).reshape(-1)
     if not np.all(np.isfinite(vec)):
         raise ValueError("state contains non-finite entries")
-    modes = dec.modes
-    if vec.shape[0] != modes.shape[0]:
+    frame = dec._frame
+    if vec.shape[0] != frame.shape[0]:
         raise DimensionError(
-            f"state has {vec.shape[0]} entries, modes have {modes.shape[0]}"
+            f"state has {vec.shape[0]} entries, modes have {frame.shape[0]}"
         )
     if dec.n_modes == 0:
         return Reconstruction(np.zeros(0, dtype=np.complex128), float(np.linalg.norm(vec)))
-    c, _, _, _ = np.linalg.lstsq(modes, vec, rcond=None)
-    residual = float(np.linalg.norm(modes @ c - vec))
+    modes = _lift(*dec._family)
+    c, _, _, _ = np.linalg.lstsq(modes, frame.project(vec), rcond=None)
+    residual = float(np.linalg.norm(frame.lift(modes @ c) - vec))
     return Reconstruction(coefficients=c, residual=residual)
 
 

@@ -14,13 +14,13 @@ for data that is centered by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dmd import reduced_operator
 from .linalg import _column_mean, _norm, _unit_scale
-from .pairs import SnapshotPairs
+from .pairs import SnapshotPairs, _Frame
 
 __all__ = [
     "LimModel",
@@ -51,14 +51,22 @@ class LimModel:
     """EOF basis, coefficient series, and the fitted lag propagator.
 
     ``green`` maps coefficients one lag tau forward in the least-squares
-    sense.
+    sense. The EOFs are held in the pairs' coordinates and lifted to
+    states on each read, as ``ReducedOperator.svd_of_x`` is.
     """
 
-    eofs: np.ndarray
     x_hat: np.ndarray
     y_hat: np.ndarray
     green: np.ndarray
     tau: float | None
+    # The EOFs in the pairs' coordinates, and the frame that lifts them.
+    _frame: _Frame = field(repr=False, compare=False)
+    _eofs: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def eofs(self) -> np.ndarray:
+        """The left singular vectors of x, lifted to states on each read."""
+        return self._frame.lift(self._eofs)
 
     @property
     def lambda_cov(self) -> np.ndarray:
@@ -87,11 +95,12 @@ def lim_model(
     unit = _unit_scale(svd.sigma)  # exact rescale: squared entries stay in range
     green = ((unit * y_hat) @ (unit * x_hat).conj().T) / (unit * svd.sigma[None, :]) ** 2
     return LimModel(
-        eofs=op.svd_of_x.u,
         x_hat=x_hat,
         y_hat=y_hat,
         green=green,
         tau=pairs.dt,
+        _frame=op._frame.detached(),
+        _eofs=svd.u,
     )
 
 

@@ -13,9 +13,11 @@ complex128.
 :func:`_held_in` binds a pairs object's coordinates (see
 :func:`dmdkit.pairs._frame`), a call on their own x, that very array,
 reads the factors they hold and makes its own rank cut; every other
-call factors anew. :func:`_qr` is the thin QR that compresses a tall
-time series to the coordinates of its snapshots. All factors are
-read-only on every path.
+call factors anew. :func:`_qr` is the Householder QR that compresses
+a tall time series to the coordinates of its snapshots; it returns the
+reflectors, not q, which :func:`_form_q` builds in their place only
+when a state-size result is read. All factors are read-only on every
+path.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _EIG_TOL = 1e-9
 # [_GEEV_LOW, 1 / _GEEV_LOW] = [sqrt(tiny)/eps, eps/sqrt(tiny)] ~ [6.7e-139, 1.5e138].
 _GEEV_LOW = float(np.sqrt(np.finfo(np.float64).tiny)) / _EPS
 _HELD = contextvars.ContextVar("_HELD", default=None)  # the coordinates reduced_svd reads
+# Columns per block of the recursive QR that compresses a tall series (see _qr).
+_QR_BLOCK = 32
 
 
 def _working_dtype(*arrays) -> type:
@@ -140,30 +144,54 @@ def _followers(conj_next: np.ndarray) -> np.ndarray:
     return follower
 
 
-def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+def _lead_lift(basis: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``basis`` times the lead columns of complex ``w`` by one real product, and the followers.
 
-    The real and imaginary parts of w are lifted together by one real
-    product with the interleaved float64 view of w, and a column
-    directly followed by its exact conjugate is lifted once: the
-    follower's image is the conjugate of its lead's. So conjugate
-    eigenvectors of real data give exactly conjugate modes, and a
-    conjugate pair costs the same real product as one real column pair.
+    A column directly followed by its exact conjugate leads it; every
+    other column leads itself. The real and imaginary parts of the leads
+    are lifted together, with the interleaved float64 view of w.
     """
-    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
-        return basis @ w
-    if w.ndim == 1:
-        return _lift(basis, w[:, None])[:, 0]
     conj_next = np.zeros(w.shape[1], dtype=bool)
     conj_next[:-1] = np.any(w.imag[:, :-1] != 0, axis=0) & np.all(
         w[:, 1:] == w[:, :-1].conj(), axis=0
     )
     follower = _followers(conj_next)
     lead = np.ascontiguousarray(w[:, ~follower])
-    lifted = (basis @ lead.view(np.float64)).view(np.complex128)
+    return (basis @ lead.view(np.float64)).view(np.complex128), follower
+
+
+def _lift(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``basis @ w`` for complex ``w``, in real arithmetic when ``basis`` is real.
+
+    Only the lead columns are lifted (:func:`_lead_lift`): a follower's
+    image is the conjugate of its lead's. So conjugate eigenvectors of
+    real data give exactly conjugate modes, and a conjugate pair costs
+    the same real product as one real column pair.
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return basis @ w
+    if w.ndim == 1:
+        return _lift(basis, w[:, None])[:, 0]
+    lifted, follower = _lead_lift(basis, w)
     out = np.take(lifted, np.cumsum(~follower) - 1, axis=1)
     out.imag *= np.where(follower, -1.0, 1.0)
     return out
+
+
+def _lift_norms(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(_lift(basis, w), axis=0)`` bit for bit, with no state-size gather.
+
+    The norms are taken on the lifted lead columns alone and copied to
+    their followers, whose squares are the same. numpy sums a single
+    column pairwise but several columns in order, so one lead with a
+    follower is read as two columns, as the lifted pair would be.
+    """
+    if np.iscomplexobj(basis) or not np.iscomplexobj(w):
+        return np.linalg.norm(basis @ w, axis=0)
+    lifted, follower = _lead_lift(basis, w)
+    if lifted.shape[1] == 1 < len(follower):
+        lifted = np.broadcast_to(lifted, (lifted.shape[0], 2))
+    return np.linalg.norm(lifted, axis=0)[np.cumsum(~follower) - 1]
 
 
 @dataclass(frozen=True)
@@ -245,18 +273,43 @@ def _factor(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return factors
 
 
-def _qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin Householder QR ``z = q @ r`` of a finite tall matrix, which it overwrites.
+def _qr(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Householder QR ``z = q @ r`` of a finite, tall, F-ordered matrix, which it overwrites.
 
-    Both factors are read-only. Raises FloatingPointError where the norm
-    of a column of z leaves the float64 range.
+    LAPACK's recursive compact-WY QR, ?geqrt (Elmroth & Gustavson, IBM
+    J. Res. Dev. 44(4), 2000), factors z in blocks of min(32, width)
+    columns. Returns the reflectors, held in z below its diagonal, their
+    scalars tau (the diagonal of geqrt's T) and r, all read-only; q is
+    formed from the first two only by :func:`_form_q`. Raises
+    FloatingPointError where the norm of a column of z leaves the
+    float64 range.
     """
-    q, r = scipy.linalg.qr(z, overwrite_a=True, mode="economic", check_finite=False)
+    geqrt = getattr(scipy.linalg.lapack, ("z" if np.iscomplexobj(z) else "d") + "geqrt")
+    k = z.shape[1]
+    block = min(_QR_BLOCK, k)
+    reflectors, t, _ = geqrt(block, z, overwrite_a=True)
+    tau = t[np.arange(k) % block, np.arange(k)]
+    r = np.triu(reflectors[:k])
     if not np.all(np.isfinite(r)):
         raise FloatingPointError("overflow: the norm of a snapshot exceeds the float64 range")
-    for a in (q, r):
+    for a in (reflectors, tau, r):
         a.flags.writeable = False
-    return q, r
+    return reflectors, tau, r
+
+
+def _form_q(reflectors: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """The read-only q of :func:`_qr`, formed by ?orgqr / ?ungqr in the reflectors' own buffer.
+
+    The reflectors are gone afterwards. The workspace is LAPACK's
+    queried optimum, as f2py's default is the minimum, which keeps
+    LAPACK on its unblocked code.
+    """
+    orgqr = scipy.linalg.lapack.zungqr if np.iscomplexobj(reflectors) else scipy.linalg.lapack.dorgqr
+    reflectors.flags.writeable = True
+    work = orgqr(reflectors, tau, lwork=-1, overwrite_a=True)[1]
+    q = orgqr(reflectors, tau, lwork=int(work[0].real), overwrite_a=True)[0]
+    q.flags.writeable = False
+    return q
 
 
 def reduced_svd(

@@ -18,21 +18,26 @@ Pairs own read-only, C-ordered copies of x and y. Their data never
 changes, so the coordinates every library call on them runs in, and
 the factors of those coordinates, are built once, on first use, and
 held as plain attributes (see :func:`_frame`); nothing lifted from the
-coordinates back to states is held. Pairs from any constructor share
-one memory layout, so they give the same bits.
+coordinates back to states is held. The coordinates of a tall series
+are those of a Householder QR of its snapshots, held as reflectors
+until the first result read at state size forms q in their place.
+Pairs from any constructor share one memory layout, so they give the
+same bits.
 
 Columns are snapshots everywhere in this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+import threading
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import _as_matrix, _column_mean, _factor, _index, _lift, _numeric_2d, _qr, _working_dtype
+from .linalg import _as_matrix, _column_mean, _factor, _form_q, _index, _lift, _lift_norms, _numeric_2d, _qr
+from .linalg import _working_dtype
 
 __all__ = [
     "SnapshotPairs",
@@ -232,29 +237,65 @@ def _series(pairs: SnapshotPairs) -> np.ndarray:
     return np.concatenate([pairs.x, pairs.y[:, -1:]], axis=1)
 
 
+# Serializes, among threads sharing pairs, the setting of their frame and the forming of its q.
+_LOCK = threading.Lock()
+
+
 @dataclass(frozen=True)
 class _Frame:
     """Pairs in the coordinates of an orthonormal basis q: x = q @ self.x, y = q @ self.y.
 
-    ``q`` is None where x and y are their own coordinates. ``shape`` is
-    the data's own (n, m), at which rank rules are taken. The pairs'
-    data never changes, so the factors of x are held with no key; what
-    is computed from them stays in coordinates until :meth:`lift`.
+    ``shape`` is the data's own (n, m), at which rank rules are taken.
+    The pairs' data never changes, so the factors of x are held with no
+    key; what is computed from them stays in coordinates until
+    :meth:`lift`. ``basis`` is None where x and y are their own
+    coordinates. On a compressed series it holds the Householder
+    reflectors of the QR, with their scalars ``tau``, until the first
+    state-size read forms q from them in their own buffer
+    (:func:`~dmdkit.linalg._form_q`); from then on it holds q, and
+    ``tau`` is None. So the frame holds one state-size buffer, never both.
     """
 
-    q: np.ndarray | None
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray | None
+    y: np.ndarray | None
     shape: tuple[int, int]
+    basis: np.ndarray | None = None
+    tau: np.ndarray | None = None
+
+    @property
+    def compressed(self) -> bool:
+        """Whether x and y are the coordinates of a tall series in a basis q."""
+        return self.basis is not None
+
+    @property
+    def q(self) -> np.ndarray | None:
+        """The basis, formed from the reflectors on its first read; None for own coordinates."""
+        with _LOCK:
+            if self.tau is not None:
+                object.__setattr__(self, "basis", _form_q(self.basis, self.tau))
+                object.__setattr__(self, "tau", None)
+            return self.basis
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The SVD of ``self.x``, factored on first use (see :func:`~dmdkit.linalg._held_in`)."""
         return _factor(self.x)
 
+    def detached(self) -> _Frame:
+        """The frame a result holds: this one, or without x and y where those are the pairs' own."""
+        return self if self.compressed else replace(self, x=None, y=None)
+
     def lift(self, a: np.ndarray) -> np.ndarray:
-        """The states ``q @ a`` of the coordinates a, by one ``_lift``; a itself if q is None."""
-        return a if self.q is None else _lift(self.q, a)
+        """The states ``q @ a`` of the coordinates a, by one ``_lift``; a itself if not compressed."""
+        return _lift(self.q, a) if self.compressed else a
+
+    def lift_norms(self, basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The column 2-norms of ``self.lift(_lift(basis, w))``, bit for bit, by :func:`_lift_norms`."""
+        return _lift_norms(self.q, _lift(basis, w)) if self.compressed else _lift_norms(basis, w)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """The coordinates ``q* v`` of the part of v in range(q); v itself if not compressed."""
+        return _lift(self.q.conj().T, v) if self.compressed else v
 
 
 def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
@@ -262,10 +303,12 @@ def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
 
     A tall series (n > m + 1 states, and x[:, 1:] == y[:, :-1]) lies in
     the span of its m + 1 snapshots z = [x, y[:, -1]]. It is factored
-    once as a thin QR, z = q r, and runs on r[:, :-1] and r[:, 1:]. Any
-    other pairs, and pairs first held with ``compress=False``, are their
-    own coordinates. Threads sharing the pairs may each build them, and
-    each leaves valid coordinates.
+    once by the recursive QR of :func:`~dmdkit.linalg._qr`, z = q r, and
+    runs on r[:, :-1] and r[:, 1:]; q is formed only when a result is
+    read at state size. Any other pairs, and pairs first held with
+    ``compress=False``, are their own coordinates. Threads sharing the
+    pairs may each build them, but all keep the first frame set, so the
+    pairs form q at most once.
     """
     if pairs._coordinates is not None:
         return pairs._coordinates
@@ -275,12 +318,14 @@ def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
         z[:, :-1], z[:, -1] = pairs.x, pairs.y[:, -1]
         if not np.all(np.isfinite(z)):
             raise ValueError("the series contains non-finite entries")
-        q, r = _qr(z)
-        frame = _Frame(q, r[:, :-1], r[:, 1:], (n, m))
+        reflectors, tau, r = _qr(z)
+        frame = _Frame(r[:, :-1], r[:, 1:], (n, m), reflectors, tau)
     else:
-        frame = _Frame(None, pairs.x, pairs.y, (n, m))
-    object.__setattr__(pairs, "_coordinates", frame)
-    return frame
+        frame = _Frame(pairs.x, pairs.y, (n, m))
+    with _LOCK:  # the first frame built is the one every thread keeps
+        if pairs._coordinates is None:
+            object.__setattr__(pairs, "_coordinates", frame)
+        return pairs._coordinates
 
 
 def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:

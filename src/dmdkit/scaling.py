@@ -35,7 +35,9 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
 
     Modes are left as they are; only the adjoint family is rescaled,
     through its small left vectors, which is enough because adjoints and
-    modes of distinct eigenvalues are automatically orthogonal. Refuses
+    modes of distinct eigenvalues are automatically orthogonal. Each
+    psi_k* phi_k is taken in the pairs' coordinates, which an orthonormal
+    q keeps, so a compressed series lifts neither family. Refuses
     eigenvalue clusters tighter than ``_GAP_TOL`` (1e-9) times the
     largest magnitude, where the pairing is not well defined.
     """
@@ -51,8 +53,8 @@ def scale_biorthogonal(dec: DmdDecomposition) -> DmdDecomposition:
             "eigenvalues {} and {} coincide within {:g}; biorthogonal "
             "pairing is ill-defined".format(lam[i], lam[j], _GAP_TOL)
         )
-    phi = dec.modes
-    gram_diag = np.einsum("ij,ij->j", dec.adjoint_modes.conj(), phi)
+    phi, psi = _lift(*dec._family), _lift(dec._left, dec.left_vectors)
+    gram_diag = np.einsum("ij,ij->j", psi.conj(), phi)
     floor = 1e-10 * np.linalg.norm(phi, axis=0)
     bad = np.abs(gram_diag) <= floor
     if np.any(bad):
@@ -110,7 +112,7 @@ def scale_amplitudes(
     if method == "qr":
         # q* y_0 fitted in q's coordinates; the residual keeps y_0 outside range(q).
         phi = _lift(dec._exact, dec.exact_vectors)
-        coords = target if frame.q is None else frame.q.conj().T @ target
+        coords = frame.project(target)
         t, _, _, _ = np.linalg.lstsq(phi, coords, rcond=None)
         d = _divide(t, lam)
         residual = _norm(frame.lift(phi @ (lam * d)) - target)

@@ -9,6 +9,7 @@ from dmdkit import (
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
+    gen_random_linear,
     gen_standing_wave,
     gen_two_timescale,
     linear_consistency,
@@ -55,6 +56,9 @@ def _random_pairs(rng, n=None, m=None):
     x = rng.standard_normal((n, m))
     y = rng.standard_normal((n, m))
     return pairs_from_arrays(x, y)
+
+
+_ROUTES = [exact_dmd, projected_dmd, exact_dmd_qr, exact_dmd_sequential]
 
 
 class TestExactDmd:
@@ -448,11 +452,101 @@ class TestModeExpansion:
         rec = reconstruct(dec, np.array([0.0, 3.0]))
         assert abs(rec.residual - 3.0) < 1e-12
 
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_reconstruct_on_own_coordinates_is_lstsq_on_the_modes_bit_for_bit(self, route):
+        rng = np.random.default_rng(34)
+        z = rng.standard_normal((6, 12))
+        dec = route(z) if route is exact_dmd_sequential else route(pairs_from_sequence(z))
+        x = rng.standard_normal(6)
+        modes, vec = dec.modes, x.astype(np.complex128)
+        want = np.linalg.lstsq(modes, vec, rcond=None)[0]
+        got = reconstruct(dec, x)
+        assert got.coefficients.tobytes() == want.tobytes()
+        assert got.residual == float(np.linalg.norm(modes @ want - vec))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("route", _ROUTES)
+    def test_reconstruct_on_a_compressed_series_is_the_state_size_fit(self, kind, route):
+        # On a tall series the fit runs on the modes in the QR coordinates,
+        # against q* x. The state-size modes are q times them, q orthonormal,
+        # so both solve one least-squares problem and differ by roundoff
+        # amplified at most by cond(modes)^2: the bound is 10 eps cond^2 |c|.
+        # The residual is taken at state size, so for the snapshot of another
+        # series it keeps the part outside range(q).
+        _, z = gen_random_linear(60, 12, 3, spectral_radius=0.95)
+        _, other = gen_random_linear(60, 12, 4)
+        if kind == "complex":
+            g = np.random.default_rng(60).standard_normal((2, 60, 60))
+            unitary, _ = np.linalg.qr(g[0] + 1j * g[1])
+            z, other = unitary @ z, unitary @ other
+        dec = route(z) if route is exact_dmd_sequential else route(pairs_from_sequence(z))
+        q = dec._frame.q
+        assert q.shape == (60, 12)  # the compressed path ran
+        phi = dec.modes
+        bound = 10 * np.finfo(float).eps * np.linalg.cond(phi) ** 2
+        for x, far in ((z[:, 0], False), (other[:, 0], True)):
+            got = reconstruct(dec, x)
+            want = np.linalg.lstsq(phi, x.astype(np.complex128), rcond=None)[0]
+            assert np.linalg.norm(got.coefficients - want) <= bound * np.linalg.norm(want)
+            explicit = np.linalg.norm(phi @ got.coefficients - x)
+            assert abs(got.residual - explicit) <= 1e-13 * np.linalg.norm(x)
+            outside = np.linalg.norm(x - q @ (q.conj().T @ x))
+            assert got.residual >= outside * (1 - 1e-12)
+            assert (outside > 0.1 * np.linalg.norm(x)) == far
+
     def test_propagate_coefficient_count_checked(self):
         rng = np.random.default_rng(33)
         dec = exact_dmd(_random_pairs(rng, n=4, m=4))
         with pytest.raises(DimensionError):
             propagate(dec, np.ones(dec.n_modes + 1), 2)
+
+
+def _rotations(blocks):
+    """Block-diagonal map of 2x2 rotations scaled by radius (for (radius, angle)) and 1x1 reals."""
+    a = np.zeros((sum(len(b) for b in blocks),) * 2)
+    at = 0
+    for b in blocks:
+        if len(b) == 2:
+            rho, theta = b
+            a[at:at + 2, at:at + 2] = rho * np.array([[np.cos(theta), -np.sin(theta)],
+                                                      [np.sin(theta), np.cos(theta)]])
+        else:
+            a[at, at] = b[0]
+        at += len(b)
+    return a
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["own coordinates", "compressed series"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("system", [
+    [(0.95, 0.3), (0.9,), (0.85, 0.7), (0.8,), (0.75, 1.1)], [(0.9, 0.4)],
+], ids=["reals between pairs", "one pair"])
+@pytest.mark.parametrize("route", _ROUTES)
+def test_mode_norms_are_the_norms_of_the_modes_bit_for_bit(compressed, kind, system, route):
+    # Each norm is taken on a lead column of the one real product that
+    # lifts the modes and copied to its conjugate follower. On real data
+    # projected modes all have norm 1 and so are ordered by |lambda|: each
+    # real mode sits between two conjugate pairs.
+    a = _rotations(system)
+    rng = np.random.default_rng(36)
+    n = len(a)
+    z = np.empty((n, 20))
+    z[:, 0] = rng.standard_normal(n)
+    for k in range(19):
+        z[:, k + 1] = a @ z[:, k]
+    rows = 40 if compressed else n
+    g = rng.standard_normal((2, rows, rows))
+    if kind == "complex":
+        z = np.linalg.qr(g[0] + 1j * g[1])[0][:, :n] @ z
+    elif compressed:
+        z = np.linalg.qr(g[0])[0][:, :n] @ z
+    pairs = pairs_from_sequence(z)
+    dec = route(z) if route is exact_dmd_sequential else route(pairs)
+    assert dec._frame.compressed == compressed and dec.n_modes == n
+    assert dec.mode_norms.tobytes() == np.linalg.norm(dec.modes, axis=0).tobytes()
+    if kind == "real" and route is projected_dmd and n > 2:
+        real = dec.eigenvalues.imag == 0
+        assert list(real) == [False, False, True, False, False, True, False, False]
 
 
 class TestSpectrum:

@@ -8,6 +8,7 @@ import pytest
 from dmdkit import (
     eig_dense,
     exact_dmd,
+    gen_random_linear,
     lim_dmd_equivalence,
     lim_model,
     pairs_from_arrays,
@@ -96,6 +97,18 @@ class TestModelStructure:
         model = lim_model(pairs)
         assert np.linalg.norm(model.eofs @ model.x_hat - pairs.x) < 1e-10
         assert np.linalg.norm(model.eofs @ model.y_hat - pairs.y) < 1e-10
+
+    @pytest.mark.parametrize("compressed", [False, True], ids=["own coordinates", "compressed series"])
+    def test_eofs_are_the_lifted_u_of_the_reduced_operator_bit_for_bit(self, compressed):
+        # The EOFs are held in the pairs' coordinates and lifted on read,
+        # by the very product that lifts svd_of_x.u.
+        z = gen_random_linear(60 if compressed else 4, 20, 8)[1]
+        pairs, _ = subtract_mean(pairs_from_sequence(z))
+        model = lim_model(pairs)
+        assert pairs._coordinates.compressed == compressed
+        assert model.x_hat.shape[0] == model.eofs.shape[1]
+        want = reduced_operator(pairs).svd_of_x.u
+        assert model.eofs.dtype == want.dtype and model.eofs.tobytes() == want.tobytes()
 
     def test_lag_comes_from_pair_spacing(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,7 @@
 """Tests for snapshot-pair construction and rearrangement."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,17 +14,27 @@ from dmdkit import (
     exact_dmd,
     exact_dmd_qr,
     exact_dmd_sequential,
+    gen_random_linear,
+    lim_dmd_equivalence,
+    lim_model,
+    linear_consistency,
     pairs_from_arrays,
     pairs_from_sequence,
     pairs_from_strided,
     pairs_from_trajectories,
+    projected_dmd,
+    reconstruct,
+    reduced_operator,
     scale_amplitudes,
+    scale_biorthogonal,
     snapshot_matrix,
+    spectrum,
     subtract_mean,
 )
+from dmdkit.cli import main, write_real_matrix
 from dmdkit.errors import DimensionError, ParseError
 from dmdkit.dmd import _decompose
-from dmdkit.pairs import _series
+from dmdkit.pairs import _frame, _series
 
 
 def test_snapshot_matrix_accepts_list_of_vectors():
@@ -330,3 +342,87 @@ def test_subtract_mean_equals_numpys_mean_where_that_is_finite(scale):
 def test_validation_rejects_nan():
     with pytest.raises(ValueError):
         pairs_from_arrays(np.array([[np.nan]]), np.array([[1.0]]))
+
+
+class TestQFormedOnlyWhenRead:
+    """A compressed series holds the reflectors of its QR until a result is
+    read at state size; that read forms q once, in the reflectors' buffer."""
+
+    @staticmethod
+    def _series():
+        return gen_random_linear(60, 12, 3, spectral_radius=0.95)[1]  # 60 states, 12 snapshots
+
+    def test_requests_in_the_coordinates_form_no_q(self, q_forms, tmp_path):
+        z = self._series()
+        pairs = pairs_from_sequence(z)
+        assert linear_consistency(pairs).consistent
+        decs = [route(pairs) for route in (exact_dmd, projected_dmd, exact_dmd_qr)]
+        decs.append(exact_dmd_sequential(z))
+        scale_amplitudes(decs[0], pairs, method="gram")
+        scale_biorthogonal(decs[0])
+        centred, _ = subtract_mean(pairs)
+        assert lim_model(centred).x_hat.shape[0] == 10  # centring costs x one rank
+        assert lim_dmd_equivalence(centred).equivalent
+        src = str(tmp_path / "z.csv")
+        write_real_matrix(src, z)
+        assert main(["check", "--input", src, "--output-dir", str(tmp_path / "check")]) == 0
+        assert main(["lim", "--input", src, "--mean", "x", "--output-dir", str(tmp_path / "lim")]) == 0
+        report = (tmp_path / "lim" / "report.txt").read_text()
+        assert "state_dimension: 60" in report and "eof_count: 10" in report
+        assert q_forms == []
+        for frame in (pairs._coordinates, centred._coordinates, decs[3]._frame):
+            assert frame.compressed and frame.tau is not None  # the reflectors, still
+
+    def test_the_first_state_size_read_forms_q_once_in_place(self, q_forms):
+        z = self._series()
+        pairs = pairs_from_sequence(z)
+        dec = exact_dmd(pairs)
+        frame = pairs._coordinates
+        reflectors = frame.basis
+        modes = dec.modes
+        assert q_forms == [(60, 12)]
+        assert frame.tau is None and np.shares_memory(frame.q, reflectors)
+        held = [a for a in vars(frame).values() if isinstance(a, np.ndarray) and a.shape[0] == 60]
+        assert len(held) == 1  # q alone: the reflectors are gone
+        again = [dec.modes, dec.adjoint_modes, projected_dmd(pairs).modes, exact_dmd_qr(pairs).left_basis,
+                 reduced_operator(pairs).b, lim_model(pairs, force=True).eofs,
+                 scale_amplitudes(dec, pairs, method="qr").amplitudes,
+                 reconstruct(dec, z[:, 0]).coefficients]
+        assert [p.mode_norm for p in spectrum(dec)] == list(np.linalg.norm(modes, axis=0))
+        assert q_forms == [(60, 12)] and all(np.all(np.isfinite(a)) for a in again)
+        assert np.array_equal(dec.modes, modes)
+
+    def test_threads_reading_one_shared_pairs_form_q_once(self, q_forms):
+        z = self._series()
+        pairs = pairs_from_sequence(z)
+        want = exact_dmd(pairs_from_sequence(z)).modes
+        results, errors = [], []
+
+        def run():
+            try:
+                results.append(exact_dmd(pairs).modes)
+            except Exception as exc:  # re-raised in the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert q_forms == [(60, 12)] * 2  # the fresh pairs' q, then the shared pairs' q once
+        assert len(results) == 6 and all(got.tobytes() == want.tobytes() for got in results)
+
+    def test_pairs_that_are_their_own_coordinates_hold_no_basis(self, q_forms):
+        wide = pairs_from_sequence(np.random.default_rng(3).standard_normal((5, 12)))
+        dec = exact_dmd(wide)
+        dec.modes
+        frame = _frame(wide)
+        assert not frame.compressed and frame.q is None and frame.tau is None
+        assert q_forms == []

@@ -9,6 +9,7 @@ from dmdkit import (
     DmdDecomposition,
     exact_dmd,
     exact_dmd_qr,
+    exact_dmd_sequential,
     gen_random_linear,
     pairs_from_arrays,
     pairs_from_sequence,
@@ -38,6 +39,42 @@ class TestBiorthogonal:
         _, z = _linear_sequence(3)
         out = scale_biorthogonal(exact_dmd(pairs_from_sequence(z)))
         assert np.allclose(np.linalg.norm(out.exact_modes, axis=0), 1.0, atol=1e-12)
+
+    @staticmethod
+    def _state_size_gram(dec):
+        """psi_k* phi_k for every mode k, taken on the state-size families."""
+        return np.einsum("ij,ij->j", dec.adjoint_modes.conj(), dec.modes)
+
+    @pytest.mark.parametrize("route", [exact_dmd, projected_dmd, exact_dmd_qr, exact_dmd_sequential])
+    def test_own_coordinates_scale_as_the_state_size_products_bit_for_bit(self, route):
+        z = gen_random_linear(5, 12, 9, spectral_radius=0.9)[1]
+        dec = route(z) if route is exact_dmd_sequential else route(pairs_from_sequence(z))
+        assert not dec._frame.compressed
+        want = dec.left_vectors / self._state_size_gram(dec).conj()[None, :]
+        assert scale_biorthogonal(dec).left_vectors.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("route", [exact_dmd, projected_dmd, exact_dmd_qr, exact_dmd_sequential])
+    def test_a_compressed_series_scales_in_its_coordinates(self, kind, route):
+        # q is orthonormal, so psi_k* phi_k is the same product in the QR
+        # coordinates; the two differ by the roundoff of the two lifts and of
+        # the state-size sum: at most (n + 2 (m + 1)) eps |psi_k| |phi_k|,
+        # checked with a factor 10 to spare, relative to |psi_k* phi_k|.
+        _, z = gen_random_linear(60, 12, 5, spectral_radius=0.95)
+        if kind == "complex":
+            g = np.random.default_rng(61).standard_normal((2, 60, 60))
+            z = np.linalg.qr(g[0] + 1j * g[1])[0] @ z
+        dec = route(z) if route is exact_dmd_sequential else route(pairs_from_sequence(z))
+        assert dec._frame.compressed
+        gram = self._state_size_gram(dec)
+        phi, psi = dec.modes, dec.adjoint_modes
+        spread = 10 * (60 + 2 * 12) * np.finfo(float).eps
+        bound = spread * np.linalg.norm(psi, axis=0) * np.linalg.norm(phi, axis=0) / np.abs(gram)
+        got = scale_biorthogonal(dec).left_vectors
+        want = dec.left_vectors / gram.conj()[None, :]
+        gap = np.linalg.norm(got - want, axis=0) / np.linalg.norm(want, axis=0)
+        assert np.all(gap <= bound)
+        assert np.all(bound < 1e-9)  # a bound that still says something
 
     @pytest.mark.parametrize("scale", [1.0, 1e-30, 1e-200, 1e200])
     def test_refuses_coincident_eigenvalues(self, scale):
