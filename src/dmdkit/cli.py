@@ -16,14 +16,15 @@ File conventions
     thread count (another thread count may round products differently).
     Complex matrices (modes.csv, green.csv, realization blocks): rows
     interleave real and imaginary parts per state entry, row 2i holding
-    Re(entry i) and row 2i+1 holding Im(entry i).
+    Re(entry i) and row 2i+1 holding Im(entry i). Input lines are parsed
+    as they stream in, and rows written a block at a time.
 
 Exit codes
-    0 success, 2 usage or conflicting flags, 3 input parse failure,
-    4 dimension mismatch, 5 rank-zero data, 6 domain refusal
-    (inconsistent request the library rejected, including nan/inf
-    input values, a result that overflows float64, a non-finite --dt
-    or --m-weight, a nan --rank-rtol, --rank-atol or --zero-tol, a
+    0 success, 2 usage or conflicting flags, 3 input parse failure (text
+    that is not UTF-8 too), 4 dimension mismatch, 5 rank-zero data, 6
+    domain refusal (inconsistent request the library rejected, including
+    nan/inf input values, a result that overflows float64, a non-finite
+    --dt or --m-weight, a nan --rank-rtol, --rank-atol or --zero-tol, a
     --stride, --delay, --p or --q below 1, and pairs that are not one
     time series where --delay, --algorithm sequential or an amplitude
     scaling needs one), 1 unexpected error.
@@ -32,6 +33,7 @@ Exit codes
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -66,81 +68,97 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+_BLOCK_ENTRIES = 1 << 14  # entries per row block the writers format and write at once
+
+
 def read_matrix(path: str, header: bool = False) -> np.ndarray:
     """Parse a snapshot CSV into a float64 matrix (rows = state entries).
 
     Blank lines are ignored and the header, when requested, is the first
-    non-blank line. ``np.loadtxt`` parses the table; when it refuses
-    one, the rows are re-scanned one by one, so the error names the
-    offending row (and tokens only Python's ``float`` accepts still
-    parse, as they always did).
+    non-blank line. ``np.loadtxt`` parses the lines as the file streams
+    by; when it refuses them, the file is scanned again row by row, so
+    the error names the offending row (and tokens only Python's ``float``
+    accepts still parse, as they always did). Text that is not UTF-8 is
+    a ParseError too.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh]
-    except OSError as exc:
+            data_lines = lambda: itertools.islice(filter(None, map(str.strip, fh)), int(header), None)
+            first = next(lines := data_lines(), None)
+            if first is None:
+                raise ParseError(f"{path}: no data rows")
+            try:
+                return np.loadtxt(itertools.chain([first], lines), delimiter=",",
+                                  comments=None, ndmin=2, dtype=np.float64)
+            except ValueError as exc:
+                if isinstance(exc, UnicodeDecodeError):
+                    raise  # the file's encoding, not its table: refused below
+            fh.seek(0)
+            rows, width = [], None
+            for idx, ln in enumerate(data_lines()):
+                tokens = ln.split(",")
+                if width is None:
+                    width = len(tokens)
+                elif len(tokens) != width:
+                    raise ParseError(
+                        f"{path}: row {idx + 1} has {len(tokens)} fields, expected {width}"
+                    )
+                try:
+                    rows.append([float(tok) for tok in tokens])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: row {idx + 1} is not numeric: {exc}") from exc
+            return np.array(rows, dtype=np.float64)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in lines if ln]
-    if header:
-        lines = lines[1:]
-    if not lines:
-        raise ParseError(f"{path}: no data rows")
-    try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-    except ValueError:
-        pass
-    rows = []
-    width = None
-    for idx, ln in enumerate(lines):
-        tokens = ln.split(",")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise ParseError(
-                f"{path}: row {idx + 1} has {len(tokens)} fields, expected {width}"
-            )
-        try:
-            rows.append([float(tok) for tok in tokens])
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {idx + 1} is not numeric: {exc}") from exc
-    return np.array(rows, dtype=np.float64)
 
 
-def _write_rows(path: str, rows, header: list[str] | None) -> None:
+def _row_blocks(mat: np.ndarray):
+    """Consecutive slices of the rows of ``mat``, of about ``_BLOCK_ENTRIES`` entries each."""
+    step = max(1, _BLOCK_ENTRIES // max(1, mat.shape[1]))
+    return (mat[i : i + step] for i in range(0, mat.shape[0], step))
+
+
+def _write_rows(path: str, mat: np.ndarray, header: list[str] | None, rows) -> None:
+    """Write ``header``, then the rows of text ``rows(block)`` gives for each row block of ``mat``."""
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        for block in _row_blocks(mat):
+            fh.writelines(",".join(row) + "\n" for row in rows(block))
 
 
 def write_real_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
-    _write_rows(path, (map(repr, row) for row in np.atleast_2d(mat).tolist()), header)
+    """Write a real matrix, one repr per entry, a block of rows at a time."""
+    _write_rows(path, np.atleast_2d(mat), header, lambda block: (map(repr, row) for row in block.tolist()))
 
 
 def write_complex_matrix(path: str, mat: np.ndarray, header: list[str] | None = None) -> None:
-    """Write a complex matrix with interleaved Re/Im rows per entry.
+    """Write a complex matrix with interleaved Re/Im rows per entry, a block of rows at a time.
 
-    A column whose bits conjugate the column before it reuses that leader's
-    text, sign-flipped in the Im rows: repr(-x) is "-" + repr(x), or
-    repr(x)[1:] for negative x, for every float but nan, so no nan Im leads.
+    A column whose bits conjugate the column before it (only the Im sign
+    bits differ, compared block by block) reuses that leader's text,
+    sign-flipped in the Im rows: repr(-x) is "-" + repr(x), or repr(x)[1:]
+    for negative x, for every float but nan, so no nan Im leads.
     """
     z = np.ascontiguousarray(np.atleast_2d(mat), dtype=np.complex128)
-    bits, conj_bits = z.view(np.int64), z.conj().view(np.int64)  # (Re, Im) per entry
-    same = (bits[:, 2:] == conj_bits[:, :-2]).all(axis=0).reshape(-1, 2).all(axis=1)
-    conj_next = np.zeros(z.shape[1], dtype=bool)
-    conj_next[:-1] = same & ~np.isnan(z.imag[:, :-1]).any(axis=0)
+    conj_next = np.arange(z.shape[1]) < z.shape[1] - 1  # each but the last, until a block refutes it
+    for block in _row_blocks(z):
+        bits = block.view(np.int64)  # (Re, Im) per entry
+        re, im = bits[:, 0::2], bits[:, 1::2]
+        flipped = (im[:, 1:] ^ im[:, :-1]) == np.iinfo(np.int64).min
+        conj_next[:-1] &= (flipped & (re[:, 1:] == re[:, :-1]) & ~np.isnan(block.imag[:, :-1])).all(0)
     follower = _followers(conj_next)
     cols = list(zip((np.cumsum(~follower) - 1).tolist(), follower.tolist()))
 
-    def rows():
-        for re_row, im_row in zip(z.real[:, ~follower].tolist(), z.imag[:, ~follower].tolist()):
+    def rows(block):
+        lead = block[:, ~follower]
+        for re_row, im_row in zip(lead.real.tolist(), lead.imag.tolist()):
             re_txt, im_txt = list(map(repr, re_row)), list(map(repr, im_row))
             neg_txt = [t[1:] if t[0] == "-" else "-" + t for t in im_txt]
             yield [re_txt[i] for i, _ in cols]
             yield [(neg_txt if f else im_txt)[i] for i, f in cols]
 
-    _write_rows(path, rows(), header)
+    _write_rows(path, z, header, rows)
 
 
 def _write_report(path: str, lines: list[str]) -> None:

@@ -91,12 +91,12 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a finite 2-D float64 or complex128 array.
 
     Complex input stays complex128; other numbers and booleans become
-    float64, and any other dtype (strings, objects) is refused.
+    float64, copied only then, and other dtypes (strings, objects) are refused.
     """
     arr = _numeric_2d(a, name)
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    return np.ascontiguousarray(arr, dtype=_working_dtype(arr))
+    return np.asarray(arr, dtype=_working_dtype(arr))
 
 
 def _unit_scale(a: np.ndarray) -> float:
@@ -387,7 +387,7 @@ def eig_dense(m) -> EigenPairs:
     decomposed in real arithmetic; its complex eigenvalues then come in
     exactly conjugate pairs with exactly conjugate vectors.
     """
-    mm = _as_matrix(m, "m")
+    mm = np.ascontiguousarray(_as_matrix(m, "m"))
     if mm.shape[0] != mm.shape[1]:
         raise DimensionError(f"eig_dense needs a square matrix, got {mm.shape}")
     if mm.shape[0] == 0:

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
-    """Coerce a snapshot collection to an (n, count) matrix.
+    """Coerce a snapshot collection to a C-ordered (n, count) matrix.
 
     Accepts a 2-D array (columns already snapshots), a sequence of 1-D
     vectors, or a sequence of scalars (treated as 1-D states); a
@@ -60,6 +60,11 @@ def snapshot_matrix(z, name: str = "snapshots") -> np.ndarray:
     comes back complex128 and everything else float64, so real
     snapshots are decomposed in real arithmetic.
     """
+    return np.ascontiguousarray(_snapshots(z, name))
+
+
+def _snapshots(z, name: str = "snapshots") -> np.ndarray:
+    """:func:`snapshot_matrix` of z in any memory layout, so a view of an array is not copied."""
     if isinstance(z, np.ndarray) and z.ndim == 2:
         mat = z
     else:
@@ -138,12 +143,12 @@ class SnapshotPairs:
 
 def pairs_from_arrays(x, y, *, dt: float | None = None) -> SnapshotPairs:
     """Wrap pre-matched matrices as pairs."""
-    return SnapshotPairs(x=snapshot_matrix(x, "x"), y=snapshot_matrix(y, "y"), dt=dt)
+    return SnapshotPairs(x=_snapshots(x, "x"), y=_snapshots(y, "y"), dt=dt)
 
 
 def pairs_from_sequence(z, *, dt: float | None = None) -> SnapshotPairs:
     """Pairs (z_k, z_{k+1}) from one time series of >= 2 snapshots."""
-    mat = snapshot_matrix(z)
+    mat = _snapshots(z)
     if mat.shape[1] < 2:
         raise DimensionError("a sequence needs at least 2 snapshots")
     return SnapshotPairs(x=mat[:, :-1], y=mat[:, 1:], dt=dt)
@@ -157,7 +162,7 @@ def pairs_from_strided(z, stride: int, *, count: int | None = None, dt: float | 
     estimated. ``count`` limits the number of pairs (default: as many as
     the series allows). ``dt`` remains the fine timestep.
     """
-    mat = snapshot_matrix(z)
+    mat = _snapshots(z)
     total = mat.shape[1]
     stride = _index(stride, "stride", 1)
     max_count = (total - 2) // stride + 1 if total >= 2 else 0
@@ -187,7 +192,7 @@ def pairs_from_trajectories(runs: list | tuple, *, dt: float | None = None) -> S
         runs = iter(runs)
     except TypeError:
         raise DimensionError(f"runs must be a sequence of trajectories, not {runs!r}") from None
-    trajectories = [snapshot_matrix(t, f"trajectory {j}") for j, t in enumerate(runs)]
+    trajectories = [_snapshots(t, f"trajectory {j}") for j, t in enumerate(runs)]
     if not trajectories:
         raise DimensionError("no trajectories given")
     n = trajectories[0].shape[0]
@@ -208,7 +213,7 @@ def embed_sequence(z, depth: int) -> np.ndarray:
     series of L snapshots embeds into L - depth + 1 columns of dimension
     n * depth.
     """
-    mat = snapshot_matrix(z)
+    mat = _snapshots(z)
     depth = _index(depth, "depth", 1)
     total = mat.shape[1]
     if total - depth + 1 < 2:
@@ -307,25 +312,25 @@ def _frame(pairs: SnapshotPairs, *, compress: bool = True) -> _Frame:
     runs on r[:, :-1] and r[:, 1:]; q is formed only when a result is
     read at state size. Any other pairs, and pairs first held with
     ``compress=False``, are their own coordinates. Threads sharing the
-    pairs may each build them, but all keep the first frame set, so the
-    pairs form q at most once.
+    pairs wait for the first build, so they factor the series and form q at most once.
     """
     if pairs._coordinates is not None:
         return pairs._coordinates
-    n, m = pairs.x.shape
-    if compress and n > m + 1 and pairs._is_series:
-        z = np.empty((n, m + 1), _working_dtype(pairs.x, pairs.y), order="F")  # LAPACK's layout
-        z[:, :-1], z[:, -1] = pairs.x, pairs.y[:, -1]
-        if not np.all(np.isfinite(z)):
-            raise ValueError("the series contains non-finite entries")
-        reflectors, tau, r = _qr(z)
-        frame = _Frame(r[:, :-1], r[:, 1:], (n, m), reflectors, tau)
-    else:
-        frame = _Frame(pairs.x, pairs.y, (n, m))
-    with _LOCK:  # the first frame built is the one every thread keeps
-        if pairs._coordinates is None:
-            object.__setattr__(pairs, "_coordinates", frame)
-        return pairs._coordinates
+    with _LOCK:  # a thread racing the first build waits for its frame
+        if pairs._coordinates is not None:
+            return pairs._coordinates
+        n, m = pairs.x.shape
+        if compress and n > m + 1 and pairs._is_series:
+            z = np.empty((n, m + 1), _working_dtype(pairs.x, pairs.y), order="F")  # LAPACK's layout
+            z[:, :-1], z[:, -1] = pairs.x, pairs.y[:, -1]
+            if not np.all(np.isfinite(z)):
+                raise ValueError("the series contains non-finite entries")
+            reflectors, tau, r = _qr(z)
+            frame = _Frame(r[:, :-1], r[:, 1:], (n, m), reflectors, tau)
+        else:
+            frame = _Frame(pairs.x, pairs.y, (n, m))
+        object.__setattr__(pairs, "_coordinates", frame)
+        return frame
 
 
 def delay_embed(pairs: SnapshotPairs, depth: int) -> SnapshotPairs:

@@ -2,11 +2,13 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import dmdkit.pairs
 from dmdkit import (
     SnapshotPairs,
     delay_embed,
@@ -41,6 +43,13 @@ def test_snapshot_matrix_accepts_list_of_vectors():
     mat = snapshot_matrix([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
     assert mat.shape == (2, 3)
     assert np.allclose(mat[:, 2], [2.0, 3.0])
+
+
+def test_snapshot_matrix_of_a_column_slice_is_a_c_ordered_copy():
+    z = np.arange(12.0).reshape(3, 4)
+    mat = snapshot_matrix(z[:, ::2])
+    assert mat.flags.c_contiguous and np.array_equal(mat, z[:, ::2])
+    assert not np.shares_memory(mat, z)
 
 
 def test_snapshot_matrix_accepts_scalar_sequence():
@@ -94,10 +103,13 @@ def test_pairs_built_directly_take_array_likes_and_own_read_only_copies():
     lambda z, runs, pairs: subtract_mean(pairs, "pooled-mean")[0],
     lambda z, runs, pairs: pairs_from_trajectories(runs),
     lambda z, runs, pairs: pairs_from_strided(z, 2),
-], ids=["x-mean", "pooled-mean", "trajectories", "strided"])
+    lambda z, runs, pairs: pairs_from_trajectories(np.array_split(z, 2, axis=1)),
+    lambda z, runs, pairs: pairs_from_arrays(z[:, :-1], z[:, 1:]),
+], ids=["x-mean", "pooled-mean", "trajectories", "strided", "sliced-trajectories", "sliced-arrays"])
 def test_pairs_built_from_new_arrays_hold_them_uncopied(build):
     # The constructors that build x and y themselves hand them to the pairs
-    # uncopied, so building costs no more memory than the pairs then hold.
+    # uncopied, so building costs no more memory than the pairs then hold;
+    # runs passed as column slices of one array are copied once, into x and y.
     z = np.random.default_rng(8).standard_normal((1000, 201))
     runs = [z[:, :101].copy(), z[:, 101:].copy()]
     pairs = pairs_from_sequence(z)
@@ -392,10 +404,13 @@ class TestQFormedOnlyWhenRead:
         assert q_forms == [(60, 12)] and all(np.all(np.isfinite(a)) for a in again)
         assert np.array_equal(dec.modes, modes)
 
-    def test_threads_reading_one_shared_pairs_form_q_once(self, q_forms):
+    def test_threads_reading_one_shared_pairs_form_q_once(self, q_forms, lapack_qrs, monkeypatch):
         z = self._series()
         pairs = pairs_from_sequence(z)
         want = exact_dmd(pairs_from_sequence(z)).modes
+        qr = dmdkit.pairs._qr
+        # A slow factorization, so that every thread asks for the frame while the first builds it.
+        monkeypatch.setattr(dmdkit.pairs, "_qr", lambda a: (time.sleep(0.05), qr(a))[1])
         results, errors = [], []
 
         def run():
@@ -417,6 +432,7 @@ class TestQFormedOnlyWhenRead:
         assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert q_forms == [(60, 12)] * 2  # the fresh pairs' q, then the shared pairs' q once
+        assert lapack_qrs == [(60, 12)] * 2  # and each pairs' series factored once: racers wait
         assert len(results) == 6 and all(got.tobytes() == want.tobytes() for got in results)
 
     def test_pairs_that_are_their_own_coordinates_hold_no_basis(self, q_forms):
